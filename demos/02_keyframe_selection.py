@@ -39,8 +39,3 @@ small = synth_image_features(seed=3, frames=8, spec=EncoderSpec("img", (8, 8), 3
 dense = frame_scores(small, method="dense").scores
 stream = frame_scores(small, method="streaming").scores
 print("\nstreaming vs dense max abs diff:", float(np.max(np.abs(dense - stream))))
-
-# Thread counts change the schedule, never the bits.
-t1 = frame_scores(small, method="streaming", threads=1).scores
-t4 = frame_scores(small, method="streaming", threads=4).scores
-print("threads 1 vs 4 bitwise equal:", np.array_equal(t1, t4))

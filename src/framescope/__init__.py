@@ -13,6 +13,7 @@ from .errors import (
     DimensionOverflowError,
     FormatError,
     FrameScopeError,
+    NonFiniteValueError,
     ShapeError,
     TruncatedPayloadError,
     UnsupportedUpsampleError,

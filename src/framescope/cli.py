@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import gradcheck as gc
-from .errors import FrameScopeError
+from .errors import ArgumentError, FrameScopeError
 from .features import (
     EncoderSpec,
     FrameFeatures,
@@ -60,11 +60,11 @@ def _emit(report: dict) -> None:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    if "x" in text:
-        h, w = text.split("x", 1)
-        return int(h), int(w)
-    n = int(text)
-    return n, n
+    parts = text.split("x", 1)
+    try:
+        return int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ArgumentError(f"grid must be N or HxW, got {text!r}") from None
 
 
 def _load_config(args) -> PipelineConfig:
@@ -72,7 +72,12 @@ def _load_config(args) -> PipelineConfig:
     cfg = None
     if getattr(args, "config", None):
         with open(args.config) as f:
-            cfg = PipelineConfig.from_dict(json.load(f))
+            try:
+                cfg = PipelineConfig.from_dict(json.load(f))
+            except json.JSONDecodeError as exc:
+                raise ArgumentError(f"config {args.config} is not valid JSON: {exc}") from None
+            except KeyError as exc:
+                raise ArgumentError(f"config {args.config} is missing key {exc}") from None
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -151,7 +156,7 @@ def _cmd_synth(args) -> int:
 def _cmd_select(args) -> int:
     feats = FrameFeatures(read_features(args.features))
     k = args.keyframes if args.keyframes is not None else max(1, feats.frames // 2)
-    scores = frame_scores(feats, method="streaming", threads=args.threads)
+    scores = frame_scores(feats, method="streaming")
     keyframes = top_k_frames(scores, k)
     _emit(
         {
@@ -179,7 +184,7 @@ def _cmd_project(args) -> int:
         c_hidden=args.c_hidden,
     )
     params = init_projector_params(cfg, args.seed)
-    seq = project_branch(feats, cfg, params, "image", threads=args.threads)
+    seq = project_branch(feats, cfg, params, "image")
     report = {
         "schema": "framescope/project-report-v1",
         "input_shape": list(feats.tensor.shape),
@@ -203,7 +208,7 @@ def _make_source(args):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    result = run_pipeline(cfg, source=_make_source(args), threads=args.threads)
+    result = run_pipeline(cfg, source=_make_source(args))
     _emit(_run_report(cfg, result))
     return 0
 
@@ -236,12 +241,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ArgumentError(f"--repeat must be >= 1, got {args.repeat}")
     cfg = _load_config(args)
     runs = []
     digest = None
     for _ in range(args.repeat):
         t0 = time.perf_counter()
-        result = run_pipeline(cfg, source=_make_source(args), threads=args.threads)
+        result = run_pipeline(cfg, source=_make_source(args))
         total_ms = (time.perf_counter() - t0) * 1e3
         runs.append((result.durations_ms, total_ms))
         digest = result.digest
@@ -285,7 +292,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-frame-selection", action="store_true")
     p.add_argument("--projector", choices=["et", "mlp"], default=None)
     p.add_argument("--branch", choices=["dual", "image", "video"], default=None)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="score frames and pick the top-K key-frames")
     p.add_argument("features", help="MVGF file of (T, H, W, D) image features")
     p.add_argument("--keyframes", "-K", type=int, default=None, help="default: T // 2")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_select)
 
     p = sub.add_parser("project", help="project features through a token projector")
@@ -313,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-out", type=int, default=896)
     p.add_argument("--c-hidden", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--out", default=None, help="write projected tokens as MVGF")
     p.set_defaults(handler=_cmd_project)
 

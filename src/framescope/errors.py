@@ -40,3 +40,7 @@ class TruncatedPayloadError(FormatError):
 
 class DimensionOverflowError(FormatError):
     """Header declares dimensions whose product cannot be a real tensor."""
+
+
+class NonFiniteValueError(FormatError):
+    """Payload holds NaN or infinite values."""

@@ -34,6 +34,7 @@ from .errors import (
     BadMagicError,
     DimensionOverflowError,
     FormatError,
+    NonFiniteValueError,
     ShapeError,
     TruncatedPayloadError,
 )
@@ -287,6 +288,8 @@ def read_features(path) -> np.ndarray:
     if have > need:
         raise FormatError(f"{have - need} trailing bytes after the declared payload")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+    if not np.isfinite(data).all():
+        raise NonFiniteValueError(f"{path}: payload holds NaN or infinite values")
     native = data.astype(data.dtype.newbyteorder("="), copy=True)
     return native.reshape(dims)
 

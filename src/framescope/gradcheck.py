@@ -98,8 +98,8 @@ def _case_ffn(rng):
 
 
 def _case_pool(rng):
-    # 5 -> 3 regions overlap, exercising the general backward
-    x = _uniform(rng, (2, 5, 5))
+    # 5 -> 3 regions overlap, exercising the general backward; batch of 2
+    x = _uniform(rng, (2, 2, 5, 5))
 
     def loss():
         return float(np.sum(numerics.adaptive_avg_pool2d(x, 3, 3) ** 2))
@@ -112,7 +112,7 @@ def _case_pool(rng):
 
 
 def _case_conv(rng):
-    x = _uniform(rng, (2, 4, 4))
+    x = _uniform(rng, (2, 2, 4, 4))  # batch of 2: dk and db sum over it
     p = numerics.ConvParams(_uniform(rng, (2, 3, 3)), _uniform(rng, (2,)))
 
     def loss():
@@ -173,7 +173,7 @@ def _projector_case(rng, kind):
         def unpack(grads):
             return [*grads["mlp0"], *grads["mlp1"]]
 
-    x = _uniform(rng, (1, cfg.tokens_in, cfg.c_in))
+    x = _uniform(rng, (2, cfg.tokens_in, cfg.c_in))
 
     def loss():
         return float(np.sum(forward(x, cfg, params) ** 2))

@@ -4,8 +4,7 @@ Tensors are plain numpy arrays: row-major (C-order), dtype float32 or
 float64.  float32 is the default compute dtype; float64 is used for
 gradient checking.  Every kernel is a pure function of its inputs and is
 deterministic bit-for-bit: identical inputs give identical outputs across
-runs and across any thread count used by callers, because nothing here
-depends on scheduling and all reductions happen in a fixed order.
+runs and processes, because all reductions happen in a fixed order.
 
 MAC accounting
 --------------
@@ -17,6 +16,7 @@ report their counts to any active ``count_macs()`` context:
 * ``adaptive_avg_pool2d`` C x Hr x Wr    -> C * Hr * Wr   (one multiply
   by 1/region_size per output element)
 * ``depthwise_conv3x3``  C x H x W       -> 9 * C * H * W
+* pool and conv accept leading batch axes; their counts scale with the batch
 
 Elementwise work (softmax exponentials, GELU, attention-logit scaling)
 and all backward passes are deliberately *not* counted; the counter
@@ -26,6 +26,7 @@ the analytic report in :mod:`framescope.pipeline`.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -210,54 +211,57 @@ def ffn_forward(x: np.ndarray, p1: LinearParams, p2: LinearParams) -> np.ndarray
     return linear(gelu(linear(x, p1)), p2)
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
+    """(r, n) matrix whose row i averages region [floor(i*n/r), ceil((i+1)*n/r))."""
+    if not 1 <= r <= n:
+        raise UnsupportedUpsampleError(f"cannot pool an axis of {n} cells to {r}; need 1..{n}")
+    i = np.arange(r)[:, None]
+    lo, hi = (i * n) // r, -((-(i + 1) * n) // r)
+    cols = np.arange(n)
+    m = (((cols >= lo) & (cols < hi)) / (hi - lo)).astype(dtype)
+    m.setflags(write=False)
+    return m
+
+
 def adaptive_avg_pool2d(x: np.ndarray, hr: int, wr: int) -> np.ndarray:
-    """Adaptive average pooling of (C, H, W) down to (C, hr, wr).
+    """Adaptive average pooling of (..., C, H, W) down to (..., C, hr, wr).
 
     Output cell (i, j) averages the input region
     ``rows [floor(i*H/hr), ceil((i+1)*H/hr)) x cols [floor(j*W/wr), ceil((j+1)*W/wr))``.
     Regions may overlap when hr does not divide H.  With hr == H and
-    wr == W this is the identity; upsampling is not supported.
+    wr == W this is the identity; upsampling is not supported.  Computed
+    as ``P_h @ x @ P_w^T`` with the two averaging matrices.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"adaptive_avg_pool2d needs (C, H, W), got {x.shape}")
-    c, h, w = x.shape
-    if hr < 1 or wr < 1:
-        raise UnsupportedUpsampleError(f"target grid must be positive, got ({hr}, {wr})")
-    if hr > h or wr > w:
-        raise UnsupportedUpsampleError(
-            f"cannot pool ({h}, {w}) up to ({hr}, {wr}); upsampling unsupported"
-        )
-    out = np.empty((c, hr, wr), dtype=x.dtype)
-    for i in range(hr):
-        r0, r1 = (i * h) // hr, -((-(i + 1) * h) // hr)
-        for j in range(wr):
-            c0, c1 = (j * w) // wr, -((-(j + 1) * w) // wr)
-            out[:, i, j] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
-    _add_macs(c * hr * wr)
-    return out
+    if x.ndim < 3:
+        raise ShapeError(f"adaptive_avg_pool2d needs (..., C, H, W), got {x.shape}")
+    *batch, c, h, w = x.shape
+    p_h, p_w = _pool_matrix(h, hr, x.dtype), _pool_matrix(w, wr, x.dtype)
+    _add_macs(math.prod(batch) * c * hr * wr)
+    return p_h @ x @ p_w.T
 
 
 def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus bias.
 
-    Output has the same (C, H, W) shape as the input.  The nine taps are
-    accumulated in fixed scan order.
+    Output has the same (..., C, H, W) shape as the input.  The nine taps
+    are accumulated in fixed scan order.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"depthwise_conv3x3 needs (C, H, W), got {x.shape}")
-    c, h, w = x.shape
+    if x.ndim < 3:
+        raise ShapeError(f"depthwise_conv3x3 needs (..., C, H, W), got {x.shape}")
+    *batch, c, h, w = x.shape
     if p.channels != c:
         raise ShapeError(
             f"input has {c} channels but kernel is {p.kernel.shape}"
         )
-    pad = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
-    pad[:, 1 : h + 1, 1 : w + 1] = x
-    out = np.zeros((c, h, w), dtype=x.dtype)
+    pad = np.zeros((*batch, c, h + 2, w + 2), dtype=x.dtype)
+    pad[..., 1 : h + 1, 1 : w + 1] = x
+    out = np.zeros(x.shape, dtype=x.dtype)
     for u in range(3):
         for v in range(3):
-            out += p.kernel[:, u, v][:, None, None] * pad[:, u : u + h, v : v + w]
+            out += p.kernel[:, u, v][:, None, None] * pad[..., u : u + h, v : v + w]
     out += p.bias[:, None, None]
-    _add_macs(9 * c * h * w)
+    _add_macs(9 * math.prod(batch) * c * h * w)
     return out
 
 
@@ -311,45 +315,42 @@ def ffn_grad(
     return dx, (dw1, db1), (dw2, db2)
 
 
-def pool_grad(in_shape: tuple[int, int, int], g: np.ndarray) -> np.ndarray:
-    """Gradient of ``adaptive_avg_pool2d`` w.r.t. its (C, H, W) input.
+def pool_grad(in_shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
+    """Gradient of ``adaptive_avg_pool2d`` w.r.t. its (..., C, H, W) input.
 
-    Each input cell collects ``g[c, i, j] / region_size`` from every output
-    region that covers it (regions overlap for non-divisible grids).
+    Each input cell collects ``g[..., c, i, j] / region_size`` from every
+    output region that covers it (regions overlap for non-divisible grids):
+    ``P_h^T @ g @ P_w``.
     """
-    c, h, w = in_shape
-    hr, wr = g.shape[1], g.shape[2]
-    if g.shape[0] != c:
-        raise ShapeError(f"gradient {g.shape} does not match input {in_shape}")
-    if hr > h or wr > w:
-        raise UnsupportedUpsampleError(
-            f"cannot pool ({h}, {w}) up to ({hr}, {wr}); upsampling unsupported"
-        )
-    dx = np.zeros(in_shape, dtype=g.dtype)
-    for i in range(hr):
-        r0, r1 = (i * h) // hr, -((-(i + 1) * h) // hr)
-        for j in range(wr):
-            c0, c1 = (j * w) // wr, -((-(j + 1) * w) // wr)
-            dx[:, r0:r1, c0:c1] += (g[:, i, j] / ((r1 - r0) * (c1 - c0)))[:, None, None]
-    return dx
+    *lead, h, w = in_shape
+    if g.shape[:-2] != tuple(lead):
+        raise ShapeError(f"gradient {g.shape} does not match input {tuple(in_shape)}")
+    hr, wr = g.shape[-2:]
+    return _pool_matrix(h, hr, g.dtype).T @ g @ _pool_matrix(w, wr, g.dtype)
 
 
 def conv_grad(
     x: np.ndarray, p: ConvParams, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``depthwise_conv3x3``: returns (dx, dkernel, dbias)."""
+    """Gradients of ``depthwise_conv3x3``: returns (dx, dkernel, dbias).
+
+    dkernel and dbias sum the batch entries in order.
+    """
     if g.shape != x.shape:
         raise ShapeError(f"upstream gradient {g.shape} does not match input {x.shape}")
-    c, h, w = x.shape
+    c, h, w = x.shape[-3:]
     if p.channels != c:
         raise ShapeError(f"input has {c} channels but kernel is {p.kernel.shape}")
-    pad = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
-    pad[:, 1 : h + 1, 1 : w + 1] = x
+
+    def batch_sum(t: np.ndarray) -> np.ndarray:
+        return t.sum(axis=(-2, -1)).reshape(-1, c).sum(axis=0)
+
+    pad = np.zeros((*x.shape[:-2], h + 2, w + 2), dtype=x.dtype)
+    pad[..., 1 : h + 1, 1 : w + 1] = x
     dk = np.empty_like(p.kernel)
     dpad = np.zeros_like(pad)
     for u in range(3):
         for v in range(3):
-            dk[:, u, v] = (pad[:, u : u + h, v : v + w] * g).sum(axis=(1, 2))
-            dpad[:, u : u + h, v : v + w] += p.kernel[:, u, v][:, None, None] * g
-    dx = dpad[:, 1 : h + 1, 1 : w + 1]
-    return dx, dk, g.sum(axis=(1, 2))
+            dk[:, u, v] = batch_sum(pad[..., u : u + h, v : v + w] * g)
+            dpad[..., u : u + h, v : v + w] += p.kernel[:, u, v][:, None, None] * g
+    return dpad[..., 1 : h + 1, 1 : w + 1], dk, batch_sum(g)

@@ -13,7 +13,7 @@ per stage, in exact agreement with the instrumented kernels in
 :mod:`framescope.numerics`.
 
 Every run is a pure function of (config, feature source): same seed, same
-bytes, at any thread count.
+bytes, across runs and processes.
 """
 
 from __future__ import annotations
@@ -450,9 +450,7 @@ def _branch_seed(seed: int, stream: int) -> int:
     return splitmix64((seed & _MASK64) ^ splitmix64(stream))
 
 
-def run_pipeline(
-    cfg: PipelineConfig, source=None, threads: int = 1
-) -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig, source=None) -> PipelineResult:
     """Execute the full flow; deterministic for fixed (cfg, source).
 
     Stages: image features -> attention scoring and top-K selection (only
@@ -468,7 +466,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     scores: FrameScore | None = None
     if cfg.scoring_active:
-        scores = frame_scores(image_feats, method="streaming", threads=threads)
+        scores = frame_scores(image_feats, method="streaming")
         keyframes = top_k_frames(scores, cfg.keyframes)
     elif cfg.has_video_branch:
         keyframes = KeyFrameSet(tuple(range(cfg.frames)))
@@ -479,18 +477,14 @@ def run_pipeline(
     image_seq = None
     if cfg.has_image_branch:
         image_params = init_projector_params(cfg.image_projector, _branch_seed(cfg.seed, 1))
-        image_seq = project_branch(
-            image_feats, cfg.image_projector, image_params, "image", threads=threads
-        )
+        image_seq = project_branch(image_feats, cfg.image_projector, image_params, "image")
     t2 = time.perf_counter()
 
     video_seq = None
     if cfg.has_video_branch:
         video_feats = source.video_features(cfg, keyframes.indices)
         video_params = init_projector_params(cfg.video_projector, _branch_seed(cfg.seed, 2))
-        video_seq = project_branch(
-            video_feats, cfg.video_projector, video_params, "video", threads=threads
-        )
+        video_seq = project_branch(video_feats, cfg.video_projector, video_params, "video")
     t3 = time.perf_counter()
 
     blocks = [seq.tokens for seq in (image_seq, video_seq) if seq is not None]

@@ -8,9 +8,8 @@ Two kinds share one config/param surface:
   (``pooled + conv(pooled)``).  Token count shrinks from H*W to Hr*Wr.
 * ``mlp_proj``: per-token two-layer MLP; token count is unchanged.
 
-``project_branch`` applies a projector to every frame of a feature tensor
-independently and concatenates the per-frame token blocks in temporal
-order, which makes per-frame parallelism trivially bitwise-stable.
+``project_branch`` projects every frame of a feature tensor in one batched
+call; frames never mix, so the token blocks come out in temporal order.
 
 Fresh parameters are deterministic: FFN weights come from the splitmix64
 value stream scaled by 1/sqrt(fan_in); biases and the positional-encoder
@@ -23,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,10 +210,8 @@ def et_proj_forward(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams
     b = x.shape[0]
     y = ffn_forward(x, params.ffn1, params.ffn2)  # (B, N, C_out)
     grid = y.reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2)  # (B, C_out, H, W)
-    out = np.empty((b, cfg.c_out, hr, wr), dtype=y.dtype)
-    for i in range(b):
-        pooled = adaptive_avg_pool2d(grid[i], hr, wr)
-        out[i] = pooled + depthwise_conv3x3(pooled, params.posenc)
+    pooled = adaptive_avg_pool2d(grid, hr, wr)
+    out = pooled + depthwise_conv3x3(pooled, params.posenc)
     return out.transpose(0, 2, 3, 1).reshape(b, hr * wr, cfg.c_out)
 
 
@@ -234,16 +230,9 @@ def et_proj_backward(
     y = ffn_forward(x, params.ffn1, params.ffn2)
     grid = y.reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2)
     g_grid = g.reshape(b, hr, wr, cfg.c_out).transpose(0, 3, 1, 2)
-    dk = np.zeros_like(params.posenc.kernel)
-    db = np.zeros_like(params.posenc.bias)
-    dy_grid = np.empty_like(grid)
-    for i in range(b):
-        pooled = adaptive_avg_pool2d(grid[i], hr, wr)
-        dconv_in, dk_i, db_i = conv_grad(pooled, params.posenc, g_grid[i])
-        dk += dk_i
-        db += db_i
-        dpooled = g_grid[i] + dconv_in  # skip connection
-        dy_grid[i] = pool_grad((cfg.c_out, h, w), dpooled)
+    pooled = adaptive_avg_pool2d(grid, hr, wr)
+    dconv_in, dk, db = conv_grad(pooled, params.posenc, g_grid)
+    dy_grid = pool_grad(grid.shape, g_grid + dconv_in)  # skip connection
     dy = dy_grid.transpose(0, 2, 3, 1).reshape(b, h * w, cfg.c_out)
     dx, dffn1, dffn2 = ffn_grad(x, params.ffn1, params.ffn2, dy)
     return dx, {"ffn1": dffn1, "ffn2": dffn2, "posenc": (dk, db)}
@@ -266,21 +255,13 @@ def mlp_proj_backward(
     return dx, {"mlp0": d0, "mlp1": d1}
 
 
-def project_frame(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams) -> np.ndarray:
-    """Dispatch one (B, N, C_in) batch through the configured projector."""
-    if cfg.kind == ET_PROJ:
-        return et_proj_forward(x, cfg, params)
-    return mlp_proj_forward(x, cfg, params)
-
-
 def project_branch(
     features: FrameFeatures | VideoFeatures,
     cfg: ProjectorConfig,
     params: ProjectorParams,
     branch: str,
-    threads: int = 1,
 ) -> TokenSequence:
-    """Project every frame independently, concatenating token blocks in order.
+    """Project all frames in one batched call, token blocks in frame order.
 
     A feature tensor (frames, H, W, D) yields (1, frames * tokens_out, C_out);
     frame f occupies token rows [f * tokens_out, (f+1) * tokens_out).
@@ -293,17 +274,9 @@ def project_branch(
     if tensor.shape[3] != cfg.c_in:
         raise ShapeError(f"feature depth {tensor.shape[3]} does not match c_in {cfg.c_in}")
     frames = tensor.shape[0]
-    n = cfg.tokens_in
-
-    def one(f: int) -> np.ndarray:
-        return project_frame(tensor[f].reshape(1, n, cfg.c_in), cfg, params)
-
-    if threads > 1 and frames > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one, range(frames)))
-    else:
-        blocks = [one(f) for f in range(frames)]
-    return TokenSequence(np.concatenate(blocks, axis=1), branch)
+    forward = et_proj_forward if cfg.kind == ET_PROJ else mlp_proj_forward
+    out = forward(tensor.reshape(frames, cfg.tokens_in, cfg.c_in), cfg, params)
+    return TokenSequence(out.reshape(1, frames * cfg.tokens_out, cfg.c_out), branch)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ Two implementations are provided:
 
 * ``dense`` materializes the full S x S matrix (reference path; bounded by
   a memory cap, FRAMESCOPE_MEM_CAP_MB).
-* ``streaming`` accumulates column sums over fixed row blocks without ever
-  holding S x S; block partials are combined in block order, so the result
-  is bitwise identical at any thread count.
+* ``streaming`` accumulates column sums over fixed row blocks, in block
+  order, without ever holding S x S.
 
 Attention logits are computed in the feature dtype; the softmax and all
 score accumulation run in float64 so that mass conservation holds to
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +33,7 @@ from .numerics import matmul, softmax_rows
 DEFAULT_MEM_CAP_MB = 4096
 MEM_CAP_ENV = "FRAMESCOPE_MEM_CAP_MB"
 
-_STREAM_BLOCK_ROWS = 256  # fixed; must not depend on thread count
+_STREAM_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -126,46 +124,26 @@ def spatial_attention(
     return softmax_rows(logits)
 
 
-def _block_column_sums(flat: np.ndarray, d: int, start: int, stop: int) -> np.ndarray:
-    logits = matmul(flat[start:stop], flat.T).astype(np.float64) / math.sqrt(d)
-    return softmax_rows(logits).sum(axis=0)
-
-
 def frame_scores(
     features: FrameFeatures | np.ndarray,
     method: str = "streaming",
-    threads: int = 1,
     mem_cap_mb: int | None = None,
 ) -> FrameScore:
     """Attention mass received per frame; dense and streaming paths agree to 1e-5.
 
     ``method='dense'`` materializes the full attention matrix (capacity
     limited); ``'streaming'`` walks fixed row blocks and never allocates
-    S x S.  With ``threads > 1`` the streaming blocks run on a thread pool;
-    partial sums are still combined in block order, so the outcome is
-    bitwise independent of the thread count.
+    S x S.
     """
     flat, t, tokens_per_frame = _flat_tokens(features)
     s, d = flat.shape
     if method == "dense":
         received = spatial_attention(features, mem_cap_mb=mem_cap_mb).sum(axis=0)
     elif method == "streaming":
-        starts = list(range(0, s, _STREAM_BLOCK_ROWS))
-        if threads > 1 and len(starts) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(
-                    pool.map(
-                        lambda a: _block_column_sums(flat, d, a, min(a + _STREAM_BLOCK_ROWS, s)),
-                        starts,
-                    )
-                )
-        else:
-            partials = [
-                _block_column_sums(flat, d, a, min(a + _STREAM_BLOCK_ROWS, s)) for a in starts
-            ]
         received = np.zeros(s, dtype=np.float64)
-        for p in partials:  # fixed block order
-            received += p
+        for a in range(0, s, _STREAM_BLOCK_ROWS):
+            logits = matmul(flat[a : a + _STREAM_BLOCK_ROWS], flat.T).astype(np.float64)
+            received += softmax_rows(logits / math.sqrt(d)).sum(axis=0)
     else:
         raise ArgumentError(f"unknown scoring method {method!r}")
     return FrameScore(received.reshape(t, tokens_per_frame).sum(axis=1))

@@ -18,6 +18,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def parse_error(capsys, *argv, error_type="ArgumentError"):
+    """Run a failing command; its stderr must be one schema-valid JSON error line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    jsonschema.validate(payload, schemas.ERROR_REPORT)
+    assert payload["error"]["type"] == error_type
+    return payload["error"]["message"]
+
+
 def parse_report(capsys, *argv, schema=None):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -58,12 +70,31 @@ class TestSynth:
         jsonschema.validate(payload, schemas.ERROR_REPORT)
         assert payload["error"]["type"] == "ArgumentError"
 
+    def test_bad_grid_fails_with_json_error(self, capsys, tmp_path):
+        message = parse_error(capsys, "synth", "--frames", "2", "--grid", "abc",
+                              "-o", str(tmp_path / "x"))
+        assert "'abc'" in message
+
 
 @pytest.fixture
 def feature_file(tmp_path, capsys):
     path = tmp_path / "feats.mvgf"
     parse_report(capsys, "synth", "--seed", "5", "--frames", "6", "--grid", "3",
                  "--depth", "8", "-o", str(path))
+    return path
+
+
+@pytest.fixture
+def nan_file(tmp_path):
+    """(6, 3, 3, 8) features, like feature_file, with one NaN."""
+    import numpy as np
+
+    from framescope.features import write_features
+
+    tensor = np.ones((6, 3, 3, 8), dtype=np.float32)
+    tensor[2, 1, 1, 5] = np.nan
+    path = tmp_path / "nan.mvgf"
+    write_features(path, tensor)
     return path
 
 
@@ -102,6 +133,9 @@ class TestSelect:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ArgumentError"
 
+    def test_non_finite_features_fail_on_read(self, capsys, nan_file):
+        parse_error(capsys, "select", str(nan_file), error_type="NonFiniteValueError")
+
 
 class TestProject:
     def test_reduces_tokens(self, capsys, feature_file, tmp_path):
@@ -121,6 +155,15 @@ class TestProject:
             schema=schemas.PROJECT_REPORT,
         )
         assert report["tokens_shape"] == [1, 6 * 9, 7]
+
+    def test_bad_grid_out_fails_with_json_error(self, capsys, feature_file):
+        parse_error(capsys, "project", str(feature_file), "--grid-out", "abc")
+
+    def test_non_finite_features_fail_on_read(self, capsys, nan_file, tmp_path):
+        out = tmp_path / "tokens.mvgf"
+        parse_error(capsys, "project", str(nan_file), "--grid-out", "2", "-o", str(out),
+                    error_type="NonFiniteValueError")
+        assert not out.exists()
 
 
 class TestRun:
@@ -143,11 +186,6 @@ class TestRun:
         r1 = parse_report(capsys, "run", *SMALL_RUN, schema=schemas.RUN_REPORT)
         r2 = parse_report(capsys, "run", *SMALL_RUN, schema=schemas.RUN_REPORT)
         assert r1["digest"] == r2["digest"]
-
-    def test_thread_flag_keeps_digest(self, capsys):
-        r1 = parse_report(capsys, "run", *SMALL_RUN, "--threads", "1")
-        r4 = parse_report(capsys, "run", *SMALL_RUN, "--threads", "4")
-        assert r1["digest"] == r4["digest"]
 
     def test_config_file_round_trip(self, capsys, tmp_path):
         from framescope.pipeline import make_config
@@ -178,6 +216,25 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--config", "/nonexistent/cfg.json")
         assert code == 1
         assert "error" in json.loads(err)
+
+    def test_malformed_config_fails_with_json_error(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"frames": 4,')
+        message = parse_error(capsys, "run", "--config", str(path))
+        assert str(path) in message
+
+    def test_config_missing_key_fails_with_json_error(self, capsys, tmp_path):
+        from framescope.pipeline import make_config
+
+        d = make_config(frames=4).to_dict()
+        del d["keyframes"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(d))
+        message = parse_error(capsys, "run", "--config", str(path))
+        assert str(path) in message and "'keyframes'" in message
+
+    def test_non_finite_features_fail_on_read(self, capsys, nan_file):
+        parse_error(capsys, "run", "--features", str(nan_file), error_type="NonFiniteValueError")
 
     def test_reports_are_byte_identical_across_calls(self, capsys, feature_file):
         for argv in (["budget"], ["flops", "--branch", "video"],
@@ -241,6 +298,11 @@ class TestBench:
         assert on["stages"]["video_projection"]["macs"] * 2 == (
             off["stages"]["video_projection"]["macs"]
         )
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one_fails_with_json_error(self, capsys, repeat):
+        message = parse_error(capsys, "bench", *SMALL_RUN, "--repeat", repeat)
+        assert "--repeat" in message
 
 
 class TestProcessLevel:

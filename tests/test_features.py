@@ -10,6 +10,7 @@ from framescope.errors import (
     BadMagicError,
     DimensionOverflowError,
     FormatError,
+    NonFiniteValueError,
     TruncatedPayloadError,
 )
 from framescope.features import (
@@ -186,6 +187,19 @@ class TestMvgfRoundTrip:
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(FormatError):
             read_features(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, dtype, bad):
+        import framescope
+
+        path = tmp_path / "bad.mvgf"
+        t = np.ones((2, 3, 3, 4), dtype=dtype)
+        t[1, 2, 0, 3] = bad
+        write_features(path, t)
+        with pytest.raises(NonFiniteValueError, match="bad.mvgf"):
+            read_features(path)
+        assert issubclass(framescope.NonFiniteValueError, FormatError)
 
 
 class TestDigest:

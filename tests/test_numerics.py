@@ -10,12 +10,14 @@ from framescope.numerics import (
     ConvParams,
     LinearParams,
     adaptive_avg_pool2d,
+    conv_grad,
     count_macs,
     depthwise_conv3x3,
     ffn_forward,
     gelu,
     linear,
     matmul,
+    pool_grad,
     softmax_rows,
 )
 
@@ -254,3 +256,102 @@ class TestDeterminism:
             adaptive_avg_pool2d(x, 2, 2)
             depthwise_conv3x3(x, p)
         assert c.total == 3 * 2 * 2 + 9 * 3 * 6 * 6
+
+
+def batched_case(seed):
+    """Random (F, C, H, W) input, pooling target and float64 conv params.
+
+    Seed 0 pools to one row (hr = 1), seed 1 to one column (wr = 1).
+    """
+    rng = np.random.default_rng(100 + seed)
+    f, c = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    h, w = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+    hr, wr = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+    if seed == 0:
+        hr = 1
+    if seed == 1:
+        wr = 1
+    x = rng.standard_normal((f, c, h, w))
+    p = ConvParams(rng.standard_normal((c, 3, 3)), rng.standard_normal(c))
+    return rng, x, hr, wr, p
+
+
+SEEDS = range(8)
+
+
+class TestBatchedKernels:
+    """Leading batch axes behave like stacked single-frame calls."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pool_matches_stacked_frames(self, seed):
+        _, x, hr, wr, _ = batched_case(seed)
+        x = x.astype(np.float32)
+        stacked = np.stack([adaptive_avg_pool2d(frame, hr, wr) for frame in x])
+        assert np.allclose(adaptive_avg_pool2d(x, hr, wr), stacked, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pool_grad_matches_stacked_frames(self, seed):
+        rng, x, hr, wr, _ = batched_case(seed)
+        g = rng.standard_normal((*x.shape[:2], hr, wr)).astype(np.float32)
+        stacked = np.stack([pool_grad(x.shape[1:], gf) for gf in g])
+        assert np.allclose(pool_grad(x.shape, g), stacked, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_conv_matches_stacked_frames_bitwise(self, seed):
+        _, x, _, _, p = batched_case(seed)
+        stacked = np.stack([depthwise_conv3x3(frame, p) for frame in x])
+        assert np.array_equal(depthwise_conv3x3(x, p), stacked)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_conv_grad_matches_stacked_frames_bitwise(self, seed):
+        rng, x, _, _, p = batched_case(seed)
+        g = rng.standard_normal(x.shape)
+        dx, dk, db = conv_grad(x, p, g)
+        frames = [conv_grad(xf, p, gf) for xf, gf in zip(x, g)]
+        assert np.array_equal(dx, np.stack([fr[0] for fr in frames]))
+        assert np.array_equal(dk, sum(fr[1] for fr in frames))  # frame order
+        assert np.array_equal(db, sum(fr[2] for fr in frames))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mac_counts_scale_with_batch(self, seed):
+        _, x, hr, wr, p = batched_case(seed)
+        for kernel in (lambda t: adaptive_avg_pool2d(t, hr, wr), lambda t: depthwise_conv3x3(t, p)):
+            with count_macs() as one:
+                kernel(x[0])
+            with count_macs() as batch:
+                kernel(x)
+            assert batch.total == x.shape[0] * one.total > 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pool_adjointness(self, seed):
+        rng, x, hr, wr, _ = batched_case(seed)
+        g = rng.standard_normal((*x.shape[:2], hr, wr))
+        lhs = np.vdot(adaptive_avg_pool2d(x, hr, wr), g)
+        rhs = np.vdot(x, pool_grad(x.shape, g))
+        assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_conv_adjointness(self, seed):
+        rng, x, _, _, p = batched_case(seed)
+        linear_part = ConvParams(p.kernel, np.zeros_like(p.bias))
+        g = rng.standard_normal(x.shape)
+        lhs = np.vdot(depthwise_conv3x3(x, linear_part), g)
+        rhs = np.vdot(x, conv_grad(x, linear_part, g)[0])
+        assert abs(lhs - rhs) < 1e-10
+
+    def test_batch_axes_may_be_nested(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3, 4, 6, 5)).astype(np.float32)
+        flat = adaptive_avg_pool2d(x.reshape(6, 4, 6, 5), 4, 3)
+        assert np.array_equal(adaptive_avg_pool2d(x, 4, 3), flat.reshape(2, 3, 4, 4, 3))
+
+    def test_pool_grad_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            pool_grad((2, 3, 6, 6), np.zeros((2, 4, 3, 3)))
+
+    def test_missing_channel_axis_rejected(self):
+        p = ConvParams(np.zeros((1, 3, 3)), np.zeros(1))
+        with pytest.raises(ShapeError):
+            adaptive_avg_pool2d(np.zeros((4, 4)), 2, 2)
+        with pytest.raises(ShapeError):
+            depthwise_conv3x3(np.zeros((4, 4)), p)

@@ -155,11 +155,6 @@ class TestRunPipeline:
         assert np.array_equal(a.tokens.tokens, b.tokens.tokens)
         assert a.digest == b.digest
 
-    def test_thread_counts_agree_bitwise(self):
-        cfg = small_config(frames=8)
-        digests = {run_pipeline(cfg, threads=n).digest for n in (1, 2, 4)}
-        assert len(digests) == 1
-
     def test_image_only_reports_empty_keyframes(self):
         result = run_pipeline(small_config(branch_mode=IMAGE_ONLY))
         assert result.keyframes.indices == ()

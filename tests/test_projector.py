@@ -175,14 +175,6 @@ class TestProjectBranch:
         ]
         assert np.array_equal(seq.tokens, np.concatenate(blocks, axis=1))
 
-    def test_threaded_assembly_is_bitwise_stable(self):
-        cfg = et_cfg(c_in=4, c_out=3, grid_in=(3, 3), grid_out=(2, 2))
-        params = init_projector_params(cfg, 8)
-        feats = synth_image_features(8, 6, EncoderSpec("e", (3, 3), 4))
-        a = project_branch(feats, cfg, params, "image", threads=1)
-        b = project_branch(feats, cfg, params, "image", threads=4)
-        assert np.array_equal(a.tokens, b.tokens)
-
     def test_grid_mismatch_rejected(self):
         cfg = et_cfg(c_in=4, c_out=3, grid_in=(3, 3), grid_out=(2, 2))
         params = init_projector_params(cfg, 0)

@@ -125,12 +125,6 @@ class TestFrameScores:
         stream = frame_scores(feats, method="streaming").scores
         assert np.max(np.abs(dense - stream)) < 1e-5
 
-    def test_thread_count_does_not_change_bits(self):
-        feats = synth_image_features(3, 8, EncoderSpec("synthetic-image", (8, 8), 16))
-        s1 = frame_scores(feats, method="streaming", threads=1).scores
-        s4 = frame_scores(feats, method="streaming", threads=4).scores
-        assert np.array_equal(s1, s4)
-
     def test_conservation(self):
         for seed in range(5):
             feats = synth_image_features(seed, 4, EncoderSpec("synthetic-image", (4, 4), 8))
