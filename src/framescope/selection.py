@@ -6,16 +6,18 @@ the attention each token *receives* (column sums).  A frame's score is the
 total received attention of its tokens.  Each attending token distributes
 exactly one unit of mass, so the scores sum to S.
 
-Two implementations are provided:
+One blocked loop serves both scoring methods:
 
-* ``dense`` materializes the full S x S matrix (reference path; bounded by
-  a memory cap, FRAMESCOPE_MEM_CAP_MB).
-* ``streaming`` accumulates column sums over fixed row blocks, in block
-  order, without ever holding S x S.
+* ``dense`` takes all S rows as one block (bounded by a memory cap,
+  FRAMESCOPE_MEM_CAP_MB; ``spatial_attention`` returns the full S x S
+  matrix under the same cap).
+* ``streaming`` accumulates column sums over fixed 256-row blocks, in
+  block order, without ever holding S x S.
 
-Attention logits are computed in the feature dtype; the softmax and all
-score accumulation run in float64 so that mass conservation holds to
-~1e-12 even at realistic S.
+Attention logits and their exponentials are computed in the feature
+dtype, in place in one buffer per block; row sums, normalisation and the
+column accumulation run in float64, so mass conservation holds to ~1e-12
+even at realistic S.
 """
 
 from __future__ import annotations
@@ -96,10 +98,30 @@ def _flat_tokens(features: FrameFeatures | np.ndarray) -> tuple[np.ndarray, int,
     return tensor.reshape(t * h * w, d), t, h * w
 
 
-def _mem_cap_bytes(mem_cap_mb: int | None) -> int:
+def _check_dense_capacity(s: int, mem_cap_mb: int | None) -> None:
+    """Raise CapacityError when an S x S float64 matrix would exceed the memory cap.
+
+    The cap is ``mem_cap_mb``, else FRAMESCOPE_MEM_CAP_MB, else 4096 MB; a
+    cap that is not a non-negative integer raises ArgumentError naming its
+    source.
+    """
     if mem_cap_mb is None:
-        mem_cap_mb = int(os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB))
-    return mem_cap_mb * 1024 * 1024
+        raw = os.environ.get(MEM_CAP_ENV, str(DEFAULT_MEM_CAP_MB))
+        bad = ArgumentError(f"{MEM_CAP_ENV} must be a non-negative integer, got {raw!r}")
+        try:
+            mem_cap_mb = int(raw)
+        except ValueError:
+            raise bad from None
+        if mem_cap_mb < 0:
+            raise bad
+    elif mem_cap_mb < 0:
+        raise ArgumentError(f"mem_cap_mb must be non-negative, got {mem_cap_mb}")
+    if s * s * 8 > mem_cap_mb * 1024 * 1024:
+        raise CapacityError(
+            f"dense attention needs {s}x{s} float64 "
+            f"({s * s * 8 // (1024 * 1024)} MB) which exceeds the memory cap; "
+            f"use frame_scores(..., method='streaming')"
+        )
 
 
 def spatial_attention(
@@ -114,12 +136,7 @@ def spatial_attention(
     """
     flat, _, _ = _flat_tokens(features)
     s, d = flat.shape
-    if s * s * 8 > _mem_cap_bytes(mem_cap_mb):
-        raise CapacityError(
-            f"dense attention needs {s}x{s} float64 "
-            f"({s * s * 8 // (1024 * 1024)} MB) which exceeds the memory cap; "
-            f"use frame_scores(..., method='streaming')"
-        )
+    _check_dense_capacity(s, mem_cap_mb)
     logits = matmul(flat, flat.T).astype(np.float64) / math.sqrt(d)
     return softmax_rows(logits)
 
@@ -131,21 +148,31 @@ def frame_scores(
 ) -> FrameScore:
     """Attention mass received per frame; dense and streaming paths agree to 1e-5.
 
-    ``method='dense'`` materializes the full attention matrix (capacity
-    limited); ``'streaming'`` walks fixed row blocks and never allocates
-    S x S.
+    ``method='dense'`` scores all S rows as one block (capacity limited
+    like ``spatial_attention``); ``'streaming'`` walks fixed 256-row blocks
+    and never allocates S x S.  Each block's exponentials are computed in
+    place in the feature dtype; row sums, normalisation and column sums
+    run in float64.
     """
     flat, t, tokens_per_frame = _flat_tokens(features)
     s, d = flat.shape
     if method == "dense":
-        received = spatial_attention(features, mem_cap_mb=mem_cap_mb).sum(axis=0)
+        _check_dense_capacity(s, mem_cap_mb)
+        block = max(s, 1)
     elif method == "streaming":
-        received = np.zeros(s, dtype=np.float64)
-        for a in range(0, s, _STREAM_BLOCK_ROWS):
-            logits = matmul(flat[a : a + _STREAM_BLOCK_ROWS], flat.T).astype(np.float64)
-            received += softmax_rows(logits / math.sqrt(d)).sum(axis=0)
+        block = _STREAM_BLOCK_ROWS
     else:
         raise ArgumentError(f"unknown scoring method {method!r}")
+    if flat.dtype.kind != "f":
+        flat = flat.astype(np.float64)
+    scale = flat.dtype.type(1.0 / math.sqrt(d))
+    received = np.zeros(s, dtype=np.float64)
+    for a in range(0, s, block):
+        e = matmul(flat[a : a + block], flat.T)
+        e -= e.max(axis=1, keepdims=True)
+        e *= scale
+        np.exp(e, out=e)
+        received += (1.0 / e.sum(axis=1, dtype=np.float64)) @ e
     return FrameScore(received.reshape(t, tokens_per_frame).sum(axis=1))
 
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framescope.errors import (
     ArgumentError,
@@ -200,6 +202,46 @@ class TestMvgfRoundTrip:
         with pytest.raises(NonFiniteValueError, match="bad.mvgf"):
             read_features(path)
         assert issubclass(framescope.NonFiniteValueError, FormatError)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mvgf_fuzz") / "fuzz.mvgf"
+
+
+class TestMvgfFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_corrupted_file_reads_back_or_raises_format_error(
+        self, fuzz_path, shape, dtype, seed, data
+    ):
+        t = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+        write_features(fuzz_path, t)
+        raw = bytearray(fuzz_path.read_bytes())
+        cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+        if cut is not None:
+            del raw[cut:]
+        if raw:
+            flips = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                    min_size=0 if cut is not None else 1,
+                    max_size=3,
+                )
+            )
+            for pos, mask in flips:
+                raw[pos] ^= mask
+        fuzz_path.write_bytes(bytes(raw))
+        try:
+            back = read_features(fuzz_path)
+        except FormatError:
+            return
+        assert np.isfinite(back).all()
 
 
 class TestDigest:

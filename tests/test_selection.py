@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framescope.errors import ArgumentError, CapacityError
 from framescope.features import EncoderSpec, FrameFeatures, synth_image_features
@@ -36,6 +39,17 @@ def attention_oracle(flat):
         z = sum(e)
         out.append([v / z for v in e])
     return np.array(out)
+
+
+def score_oracle(tensor):
+    """Naive float64 dense scorer: logits, row softmax, column sums, per-frame sums."""
+    t, h, w, d = tensor.shape
+    flat = tensor.reshape(t * h * w, d).astype(np.float64)
+    attention = flat @ flat.T / math.sqrt(d)
+    attention -= attention.max(axis=1, keepdims=True)
+    np.exp(attention, out=attention)
+    attention /= attention.sum(axis=1, keepdims=True)
+    return attention.sum(axis=0).reshape(t, h * w).sum(axis=1)
 
 
 def top_k_oracle(scores, k):
@@ -90,6 +104,29 @@ class TestSpatialAttention:
         with pytest.raises(CapacityError):
             spatial_attention(feats)
 
+    def test_non_integer_cap_in_environment_rejected(self, monkeypatch):
+        monkeypatch.setenv("FRAMESCOPE_MEM_CAP_MB", "abc")
+        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
+        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
+            spatial_attention(feats)
+        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
+            frame_scores(feats, method="dense")
+
+    def test_negative_cap_in_environment_rejected(self, monkeypatch):
+        monkeypatch.setenv("FRAMESCOPE_MEM_CAP_MB", "-1")
+        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
+        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
+            spatial_attention(feats)
+        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
+            frame_scores(feats, method="dense")
+
+    def test_negative_cap_argument_rejected(self):
+        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
+        with pytest.raises(ArgumentError, match="mem_cap_mb"):
+            spatial_attention(feats, mem_cap_mb=-1)
+        with pytest.raises(ArgumentError, match="mem_cap_mb"):
+            frame_scores(feats, method="dense", mem_cap_mb=-1)
+
 
 class TestFrameScores:
     def test_identical_frames_share_mass_equally(self):
@@ -124,6 +161,44 @@ class TestFrameScores:
         dense = frame_scores(feats, method="dense").scores
         stream = frame_scores(feats, method="streaming").scores
         assert np.max(np.abs(dense - stream)) < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 8),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        d=st.integers(1, 64),
+        scale=st.floats(0.25, 4.0),
+    )
+    def test_both_methods_match_float64_oracle(self, seed, t, h, w, d, scale):
+        # S = t*h*w reaches 648, so streaming blocks split at 256 and 512
+        tensor = synth_image_features(seed, t, EncoderSpec("synthetic-image", (h, w), d)).tensor
+        tensor = tensor * np.float32(scale)
+        expected = score_oracle(tensor)
+        for method in ("dense", "streaming"):
+            got = frame_scores(tensor, method=method).scores
+            assert np.max(np.abs(got - expected)) < 1e-5
+
+    def test_realistic_geometry_matches_oracle_and_conserves_mass(self):
+        # 16 frames of 14 x 14 tokens at D = 768: S = 3136, thirteen 256-row blocks
+        feats = synth_image_features(5, 16, EncoderSpec("synthetic-image", (14, 14), 768))
+        fs = frame_scores(feats, method="streaming")
+        assert abs(fs.total_mass - 16 * 196) < 1e-9
+        # float32 logits put the error at float32 epsilon relative to each score
+        assert np.allclose(fs.scores, score_oracle(feats.tensor), rtol=1e-7, atol=0)
+
+    def test_streaming_peak_allocation_is_bounded(self):
+        feats = synth_image_features(6, 16, EncoderSpec("synthetic-image", (14, 14), 768))
+        s = 16 * 196
+        tracemalloc.start()
+        try:
+            frame_scores(feats, method="streaming")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few 256-row blocks of float64, far below one S x S matrix (78.7 MB)
+        assert peak < 3 * 256 * s * 8
 
     def test_conservation(self):
         for seed in range(5):
@@ -183,6 +258,20 @@ class TestTopK:
             scores = rng.uniform(0, 10, size=16)
             k = int(rng.integers(1, 17))
             assert list(top_k_frames(scores, k).indices) == top_k_oracle(list(scores), k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e6)),
+            min_size=1,
+            max_size=24,
+        ),
+        data=st.data(),
+    )
+    def test_matches_sort_oracle_with_ties(self, scores, data):
+        # values drawn from a three-element pool force ties between frames
+        k = data.draw(st.integers(1, len(scores)))
+        assert list(top_k_frames(np.array(scores), k).indices) == top_k_oracle(scores, k)
 
     @pytest.mark.parametrize("k", [0, 5, -1])
     def test_k_out_of_range(self, k):
