@@ -263,10 +263,7 @@ def _cmd_bench(args) -> int:
             "macs_per_sec": round(mac_count / (med / 1e3), 3) if med > 0 and mac_count else None,
         }
 
-    stages = {
-        name: timing([d[name] for d, _ in runs], macs[name])
-        for name in ("scoring", "image_projection", "video_projection", "fusion")
-    }
+    stages = {name: timing([d[name] for d, _ in runs], macs.get(name, 0)) for name in runs[0][0]}
     _emit(
         {
             "schema": "framescope/bench-report-v1",

@@ -71,10 +71,24 @@ def splitmix64(x: int | np.ndarray) -> int | np.ndarray:
     return z ^ (z >> 31)
 
 
-def _unit_values(words: np.ndarray) -> np.ndarray:
-    # top 53 bits -> [0, 1) double -> [-1, 1), stored as float32
-    u = (words >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-    return (2.0 * u - 1.0).astype(np.float32)
+_STREAM_CHUNK = 1 << 15  # elements per pass: the uint64/float64 temporaries stay at 256 KiB each
+
+
+def stream_values(key: int, n: int, scale: float = 1.0) -> np.ndarray:
+    """float32 values ``(2u - 1) * scale`` for i < n, u = top 53 bits of splitmix64(key ^ i) / 2**53.
+
+    Filled in fixed-size chunks so the integer and double temporaries stay
+    small; each value depends only on its index, so the chunking does not
+    change a bit.
+    """
+    out = np.empty(n, dtype=np.float32)
+    key = _U64(key & _MASK64)
+    for start in range(0, n, _STREAM_CHUNK):
+        stop = min(start + _STREAM_CHUNK, n)
+        words = splitmix64(np.arange(start, stop, dtype=_U64) ^ key)
+        u = (words >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+        out[start:stop] = (2.0 * u - 1.0) * scale
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +201,7 @@ def synth_image_features(seed: int, frames: int, spec: EncoderSpec = DEFAULT_IMA
     if frames < 1:
         raise ArgumentError(f"frame count must be >= 1, got {frames}")
     h, w = spec.grid
-    n = frames * h * w * spec.depth
-    idx = np.arange(n, dtype=_U64) ^ _U64(seed & _MASK64)
-    vals = _unit_values(splitmix64(idx))
+    vals = stream_values(seed, frames * h * w * spec.depth)
     return FrameFeatures(vals.reshape(frames, h, w, spec.depth))
 
 
@@ -213,12 +225,10 @@ def synth_video_features(
     if any(b <= a for a, b in zip(idxs, idxs[1:])):
         raise ArgumentError(f"key-frame indices must be strictly increasing, got {idxs}")
     h, w = spec.grid
-    per_frame = h * w * spec.depth
-    elem = np.arange(per_frame, dtype=_U64)
-    slots = []
-    for frame_index in idxs:
-        stream = elem ^ _U64(seed & _MASK64) ^ _U64(splitmix64(frame_index))
-        slots.append(_unit_values(splitmix64(stream)).reshape(h, w, spec.depth))
+    slots = [
+        stream_values(seed ^ splitmix64(frame_index), h * w * spec.depth).reshape(h, w, spec.depth)
+        for frame_index in idxs
+    ]
     return VideoFeatures(np.stack(slots, axis=0), tuple(idxs))
 
 

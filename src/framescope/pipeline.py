@@ -18,6 +18,7 @@ bytes, across runs and processes.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -41,9 +42,11 @@ from .projector import (
     ET_PROJ,
     MLP_PROJ,
     ProjectorConfig,
+    ProjectorParams,
     TokenSequence,
     init_projector_params,
     project_branch,
+    role_tensors,
 )
 from .selection import FrameScore, KeyFrameSet, frame_scores, top_k_frames, uniform_sample_indices
 
@@ -450,20 +453,61 @@ def _branch_seed(seed: int, stream: int) -> int:
     return splitmix64((seed & _MASK64) ^ splitmix64(stream))
 
 
+@functools.lru_cache(maxsize=4)  # two branches x two configs
+def _branch_params(cfg: ProjectorConfig, seed: int) -> ProjectorParams:
+    """One branch's parameters, built once per (config, seed) and shared read-only.
+
+    Calls ``init_projector_params`` through this module's global, so a
+    wrapper installed there sees each cache miss.
+    """
+    params = init_projector_params(cfg, seed)
+    for array in role_tensors(cfg, params).values():
+        array.flags.writeable = False
+    return params
+
+
+class _StageClock:
+    """Bills the wall time since the previous lap to a stage, so the stages tile the run."""
+
+    def __init__(self) -> None:
+        self.durations_ms: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.durations_ms[stage] = self.durations_ms.get(stage, 0.0) + (now - self._last) * 1e3
+        self._last = now
+
+
 def run_pipeline(cfg: PipelineConfig, source=None) -> PipelineResult:
     """Execute the full flow; deterministic for fixed (cfg, source).
 
-    Stages: image features -> attention scoring and top-K selection (only
-    when a video branch consumes it) -> video features for the selected
-    frames -> per-branch projection -> image-first fusion.  Projector
-    parameters are freshly initialized from cfg.seed per branch.
+    Stages: projector parameters -> image features -> attention scoring
+    and top-K selection (only when a video branch consumes it) -> image
+    projection -> video features for the selected frames and video
+    projection -> image-first fusion.  Each branch's projector parameters
+    are built from cfg.seed on the first call for its config and reused,
+    read-only, by later calls.
+
+    ``durations_ms`` bills every moment of the call to one stage, so its
+    values sum to the call's wall time: ``params`` (the cached parameter
+    lookup, near zero once built), ``features`` (image and video feature
+    acquisition), ``scoring``, ``image_projection``, ``video_projection``
+    and ``fusion``.
     """
     if source is None:
         source = SyntheticSource()
 
-    image_feats = source.image_features(cfg)
+    clock = _StageClock()
+    if cfg.has_image_branch:
+        image_params = _branch_params(cfg.image_projector, _branch_seed(cfg.seed, 1))
+    if cfg.has_video_branch:
+        video_params = _branch_params(cfg.video_projector, _branch_seed(cfg.seed, 2))
+    clock.lap("params")
 
-    t0 = time.perf_counter()
+    image_feats = source.image_features(cfg)
+    clock.lap("features")
+
     scores: FrameScore | None = None
     if cfg.scoring_active:
         scores = frame_scores(image_feats, method="streaming")
@@ -472,24 +516,23 @@ def run_pipeline(cfg: PipelineConfig, source=None) -> PipelineResult:
         keyframes = KeyFrameSet(tuple(range(cfg.frames)))
     else:
         keyframes = KeyFrameSet(())
-    t1 = time.perf_counter()
+    clock.lap("scoring")
 
     image_seq = None
     if cfg.has_image_branch:
-        image_params = init_projector_params(cfg.image_projector, _branch_seed(cfg.seed, 1))
         image_seq = project_branch(image_feats, cfg.image_projector, image_params, "image")
-    t2 = time.perf_counter()
+    clock.lap("image_projection")
 
     video_seq = None
     if cfg.has_video_branch:
         video_feats = source.video_features(cfg, keyframes.indices)
-        video_params = init_projector_params(cfg.video_projector, _branch_seed(cfg.seed, 2))
+        clock.lap("features")
         video_seq = project_branch(video_feats, cfg.video_projector, video_params, "video")
-    t3 = time.perf_counter()
+    clock.lap("video_projection")
 
     blocks = [seq.tokens for seq in (image_seq, video_seq) if seq is not None]
     fused = TokenSequence(np.concatenate(blocks, axis=1), "fused")
-    t4 = time.perf_counter()
+    clock.lap("fusion")
 
     return PipelineResult(
         tokens=fused,
@@ -497,10 +540,5 @@ def run_pipeline(cfg: PipelineConfig, source=None) -> PipelineResult:
         scores=scores,
         budget=token_budget(cfg),
         macs=mac_report(cfg),
-        durations_ms={
-            "scoring": (t1 - t0) * 1e3,
-            "image_projection": (t2 - t1) * 1e3,
-            "video_projection": (t3 - t2) * 1e3,
-            "fusion": (t4 - t3) * 1e3,
-        },
+        durations_ms=clock.durations_ms,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .features import (
     VideoFeatures,
     read_features,
     splitmix64,
+    stream_values,
     write_features,
 )
 from .numerics import (
@@ -47,9 +48,6 @@ from .numerics import (
 
 ET_PROJ = "et_proj"
 MLP_PROJ = "mlp_proj"
-
-_U64 = np.uint64
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -160,12 +158,7 @@ class TokenSequence:
 
 
 def _stream_weights(seed: int, role: int, shape: tuple[int, ...], scale: float) -> np.ndarray:
-    n = int(np.prod(shape))
-    idx = np.arange(n, dtype=_U64) ^ _U64(seed & _MASK64) ^ _U64(splitmix64(role))
-    words = splitmix64(idx)
-    u = (words >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-    vals = (2.0 * u - 1.0) * scale
-    return vals.astype(np.float32).reshape(shape)
+    return stream_values(seed ^ splitmix64(role), int(np.prod(shape)), scale).reshape(shape)
 
 
 def init_projector_params(cfg: ProjectorConfig, seed: int) -> ProjectorParams:
@@ -283,41 +276,45 @@ def project_branch(
 # Persistence: MVGF tensors plus a JSON manifest
 # ---------------------------------------------------------------------------
 
-_ROLE_FIELDS = {
-    ET_PROJ: ["ffn1.weight", "ffn1.bias", "ffn2.weight", "ffn2.bias", "posenc.kernel", "posenc.bias"],
-    MLP_PROJ: ["mlp0.weight", "mlp0.bias", "mlp1.weight", "mlp1.bias"],
+MANIFEST_SCHEMA = "framescope/projector-manifest-v1"
+
+# The layers each kind saves, in file order.  A tensor's role is
+# "<layer>.<field>" for each field of the layer's type, e.g. "ffn1.weight".
+_LAYERS = {
+    ET_PROJ: (("ffn1", LinearParams), ("ffn2", LinearParams), ("posenc", ConvParams)),
+    MLP_PROJ: (("mlp0", LinearParams), ("mlp1", LinearParams)),
 }
 
 
-def _role_tensors(cfg: ProjectorConfig, params: ProjectorParams) -> dict[str, np.ndarray]:
-    if cfg.kind == ET_PROJ:
-        return {
-            "ffn1.weight": params.ffn1.weight,
-            "ffn1.bias": params.ffn1.bias,
-            "ffn2.weight": params.ffn2.weight,
-            "ffn2.bias": params.ffn2.bias,
-            "posenc.kernel": params.posenc.kernel,
-            "posenc.bias": params.posenc.bias,
-        }
+def _role_shapes(cfg: ProjectorConfig) -> dict[str, tuple[int, ...]]:
+    """Expected shape of every tensor role; both kinds start with the same two linears."""
+    roles = [f"{name}.{f.name}" for name, layer in _LAYERS[cfg.kind] for f in fields(layer)]
+    linears = [(cfg.c_in, cfg.hidden), (cfg.hidden,), (cfg.hidden, cfg.c_out), (cfg.c_out,)]
+    posenc = [(cfg.c_out, 3, 3), (cfg.c_out,)] if cfg.kind == ET_PROJ else []
+    return dict(zip(roles, linears + posenc, strict=True))
+
+
+def role_tensors(cfg: ProjectorConfig, params: ProjectorParams) -> dict[str, np.ndarray]:
+    """Every tensor of ``params`` by role ("ffn1.weight", ...), in file order."""
+    layers = [params.ffn1, params.ffn2, params.posenc] if cfg.kind == ET_PROJ else params.mlp
     return {
-        "mlp0.weight": params.mlp[0].weight,
-        "mlp0.bias": params.mlp[0].bias,
-        "mlp1.weight": params.mlp[1].weight,
-        "mlp1.bias": params.mlp[1].bias,
+        f"{name}.{f.name}": getattr(layer, f.name)
+        for (name, _), layer in zip(_LAYERS[cfg.kind], layers, strict=True)
+        for f in fields(layer)
     }
 
 
 def save_projector(dirpath, cfg: ProjectorConfig, params: ProjectorParams) -> None:
     """Persist one projector as MVGF tensors plus manifest.json in dirpath."""
     os.makedirs(dirpath, exist_ok=True)
-    tensors = _role_tensors(cfg, params)
+    tensors = role_tensors(cfg, params)
     files = {}
     for role, tensor in tensors.items():
         fname = role.replace(".", "_") + ".mvgf"
         write_features(os.path.join(dirpath, fname), tensor)
         files[role] = fname
     manifest = {
-        "schema": "framescope/projector-manifest-v1",
+        "schema": MANIFEST_SCHEMA,
         "config": cfg.to_dict(),
         "tensors": files,
     }
@@ -326,28 +323,41 @@ def save_projector(dirpath, cfg: ProjectorConfig, params: ProjectorParams) -> No
 
 
 def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
-    """Load a projector saved by save_projector."""
+    """Load a projector saved by save_projector.
+
+    Raises ArgumentError for a manifest with another schema id or missing
+    keys or tensor roles, and ShapeError for a tensor whose shape disagrees
+    with the manifest's config.
+    """
     with open(os.path.join(dirpath, "manifest.json")) as f:
         manifest = json.load(f)
-    cfg = ProjectorConfig.from_dict(manifest["config"])
-    tensors = {
-        role: read_features(os.path.join(dirpath, fname))
-        for role, fname in manifest["tensors"].items()
-    }
-    missing = [r for r in _ROLE_FIELDS[cfg.kind] if r not in tensors]
+    missing = [key for key in ("schema", "config", "tensors") if key not in manifest]
+    if missing:
+        raise ArgumentError(f"projector manifest is missing keys: {missing}")
+    if manifest["schema"] != MANIFEST_SCHEMA:
+        raise ArgumentError(
+            f"unsupported projector manifest schema {manifest['schema']!r}; "
+            f"expected {MANIFEST_SCHEMA!r}"
+        )
+    try:
+        cfg = ProjectorConfig.from_dict(manifest["config"])
+    except KeyError as exc:
+        raise ArgumentError(f"projector manifest config is missing key {exc}") from None
+    shapes = _role_shapes(cfg)
+    missing = [role for role in shapes if role not in manifest["tensors"]]
     if missing:
         raise ArgumentError(f"manifest is missing tensor roles: {missing}")
-    if cfg.kind == ET_PROJ:
-        params = ProjectorParams(
-            ffn1=LinearParams(tensors["ffn1.weight"], tensors["ffn1.bias"]),
-            ffn2=LinearParams(tensors["ffn2.weight"], tensors["ffn2.bias"]),
-            posenc=ConvParams(tensors["posenc.kernel"], tensors["posenc.bias"]),
-        )
-    else:
-        params = ProjectorParams(
-            mlp=[
-                LinearParams(tensors["mlp0.weight"], tensors["mlp0.bias"]),
-                LinearParams(tensors["mlp1.weight"], tensors["mlp1.bias"]),
-            ]
-        )
+    tensors = {}
+    for role, shape in shapes.items():
+        tensors[role] = read_features(os.path.join(dirpath, manifest["tensors"][role]))
+        if tensors[role].shape != shape:
+            raise ShapeError(
+                f"tensor {role} has shape {tensors[role].shape} but the manifest "
+                f"config needs {shape}"
+            )
+    layers = [
+        layer(*(tensors[f"{name}.{f.name}"] for f in fields(layer)))
+        for name, layer in _LAYERS[cfg.kind]
+    ]
+    params = ProjectorParams(*layers) if cfg.kind == ET_PROJ else ProjectorParams(mlp=layers)
     return cfg, params

@@ -173,6 +173,12 @@ class TestRun:
             report["budget"]["image_tokens"] + report["budget"]["video_tokens"]
         )
 
+    def test_durations_cover_params_and_features(self, capsys):
+        report = parse_report(capsys, "run", *SMALL_RUN, schema=schemas.RUN_REPORT)
+        assert list(report["durations_ms"]) == [
+            "params", "features", "scoring", "image_projection", "video_projection", "fusion",
+        ]
+
     def test_default_config_reports_2696(self, capsys):
         report = parse_report(capsys, "budget", schema=schemas.BUDGET_REPORT)
         assert report["total"] == 2696
@@ -285,6 +291,14 @@ class TestBench:
         report = parse_report(capsys, "bench", *SMALL_RUN, "--repeat", "2",
                               schema=schemas.BENCH_REPORT)
         assert report["repeat"] == 2
+
+    def test_params_and_features_stages_have_no_macs(self, capsys):
+        report = parse_report(capsys, "bench", *SMALL_RUN, "--repeat", "1",
+                              schema=schemas.BENCH_REPORT)
+        for name in ("params", "features"):
+            assert report["stages"][name]["macs"] == 0
+            assert report["stages"][name]["macs_per_sec"] is None
+        assert sum(s["macs"] for s in report["stages"].values()) == report["total"]["macs"]
 
     def test_single_repeat_min_equals_median(self, capsys):
         report = parse_report(capsys, "bench", *SMALL_RUN, "--repeat", "1")

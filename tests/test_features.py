@@ -1,6 +1,7 @@
 """Synthetic generators (golden-pinned) and MVGF round-trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from framescope.errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
+from framescope import features
 from framescope.features import (
     EncoderSpec,
     read_features,
@@ -74,6 +76,17 @@ class TestSyntheticImage:
     def test_golden_digest_default_geometry(self):
         feats = synth_image_features(0, 16)
         assert tensor_digest(feats.tensor) == "74a76adf454cb876"
+
+    def test_peak_allocation_is_output_plus_chunk_temporaries(self):
+        """The value stream is generated in chunks, so a default 16-frame call
+        (9.6 MB of float32) never holds full-size uint64/float64 temporaries."""
+        tracemalloc.start()
+        try:
+            feats = synth_image_features(0, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < feats.tensor.nbytes + 16 * features._STREAM_CHUNK * 8
 
     def test_zero_frames_rejected(self):
         with pytest.raises(ArgumentError):

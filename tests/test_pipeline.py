@@ -1,8 +1,11 @@
 """End-to-end pipeline: budgets, MAC accounting, determinism, stage plan."""
 
+import time
+
 import numpy as np
 import pytest
 
+from framescope import pipeline
 from framescope.errors import ArgumentError, ShapeError
 from framescope.features import synth_image_features, write_features
 from framescope.numerics import count_macs
@@ -192,6 +195,80 @@ class TestRunPipeline:
         write_features(path, wrong.tensor)
         with pytest.raises(ShapeError):
             run_pipeline(cfg, source=FileSource(path))
+
+
+class TestStageAccounting:
+    def test_stages_sum_to_the_call(self):
+        cfg = small_config(seed=41)
+        for _ in range(2):  # cold, then warm parameters
+            t0 = time.perf_counter()
+            result = run_pipeline(cfg)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            assert abs(sum(result.durations_ms.values()) - wall_ms) < 2.0
+        assert list(result.durations_ms) == [
+            "params", "features", "scoring", "image_projection", "video_projection", "fusion",
+        ]
+
+    def test_video_features_billed_to_features(self, monkeypatch):
+        cfg = small_config(seed=42)
+        source = pipeline.SyntheticSource()
+        slow = source.video_features
+
+        def video_features(*args):
+            time.sleep(0.05)
+            return slow(*args)
+
+        monkeypatch.setattr(source, "video_features", video_features)
+        durations = run_pipeline(cfg, source).durations_ms
+        assert durations["features"] >= 50.0
+        assert durations["video_projection"] < 50.0
+
+
+class TestBranchParamsCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        pipeline._branch_params.cache_clear()
+        yield
+        pipeline._branch_params.cache_clear()
+
+    def test_one_build_per_branch_over_three_calls(self, monkeypatch):
+        built = []
+        original = pipeline.init_projector_params
+
+        def counting(cfg, seed):
+            built.append((cfg, seed))
+            return original(cfg, seed)
+
+        monkeypatch.setattr(pipeline, "init_projector_params", counting)
+        cfg = small_config(seed=43)
+        digests = {run_pipeline(cfg).digest for _ in range(3)}
+        assert len(digests) == 1
+        assert sorted(c.c_in for c, _ in built) == [6, 8]  # video branch, image branch
+        assert len(set(built)) == 2
+
+    def test_rebuilt_params_give_the_warm_digest(self):
+        cfg = small_config(seed=44)
+        run_pipeline(cfg)
+        warm = run_pipeline(cfg).digest
+        pipeline._branch_params.cache_clear()
+        assert run_pipeline(cfg).digest == warm
+
+    @pytest.mark.parametrize("kind", ["et_proj", "mlp_proj"])
+    def test_cached_arrays_are_read_only(self, kind):
+        cfg = small_config(seed=45, projector_kind=kind)
+        run_pipeline(cfg)
+        params = pipeline._branch_params(cfg.image_projector, pipeline._branch_seed(cfg.seed, 1))
+        arrays = list(pipeline.role_tensors(cfg.image_projector, params).values())
+        assert len(arrays) == (6 if kind == "et_proj" else 4)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_cache_stays_bounded_over_a_config_sweep(self):
+        for seed in range(6):
+            run_pipeline(small_config(seed=seed, branch_mode=IMAGE_ONLY, frames=1, keyframes=1))
+            assert pipeline._branch_params.cache_info().currsize <= 4
+        assert pipeline._branch_params.cache_info().misses == 6
 
 
 class TestConfig:

@@ -1,10 +1,19 @@
 """Token projectors: shape laws, identities, oracles, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
+from framescope import features, projector
 from framescope.errors import ArgumentError, ShapeError
-from framescope.features import EncoderSpec, synth_image_features, synth_video_features
+from framescope.features import (
+    EncoderSpec,
+    splitmix64,
+    synth_image_features,
+    synth_video_features,
+    write_features,
+)
 from framescope.numerics import adaptive_avg_pool2d, ffn_forward
 from framescope.projector import (
     ET_PROJ,
@@ -203,6 +212,32 @@ class TestParamsInit:
         assert np.abs(p.ffn1.weight).max() <= 1.0 / 20.0
         assert np.abs(p.ffn2.weight).max() <= 1.0 / 10.0
 
+    @pytest.mark.parametrize("kind", [ET_PROJ, MLP_PROJ])
+    def test_fresh_arrays_are_writable_and_distinct(self, kind):
+        cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2))
+        if kind == MLP_PROJ:
+            cfg = mlp_cfg(c_in=5, c_out=4, grid=(3, 3))
+        a = projector.role_tensors(cfg, init_projector_params(cfg, 42))
+        b = projector.role_tensors(cfg, init_projector_params(cfg, 42))
+        for role in a:
+            assert a[role].flags.writeable and b[role].flags.writeable, role
+            assert not np.shares_memory(a[role], b[role]), role
+            a[role][...] = 1.0
+            assert not (b[role] == 1.0).all(), role
+
+    @pytest.mark.parametrize("n", [1, 1000, features._STREAM_CHUNK, 2 * features._STREAM_CHUNK + 17])
+    def test_stream_weights_match_one_shot_reference(self, n):
+        def one_shot(seed, role, shape, scale):
+            idx = np.arange(n, dtype=np.uint64) ^ np.uint64(seed) ^ np.uint64(splitmix64(role))
+            u = (splitmix64(idx) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+            return ((2.0 * u - 1.0) * scale).astype(np.float32).reshape(shape)
+
+        for seed, role, scale in ((0, 1, 1.0), (2**64 - 1, 2, 0.037)):
+            got = projector._stream_weights(seed, role, (n, 1), scale)
+            want = one_shot(seed, role, (n, 1), scale)
+            assert got.dtype == np.float32 and got.shape == (n, 1)
+            assert got.tobytes() == want.tobytes()
+
     def test_hidden_defaults_to_c_out(self):
         cfg = et_cfg(c_in=5, c_out=4, grid_in=(2, 2), grid_out=(1, 1))
         assert cfg.hidden == 4
@@ -231,3 +266,43 @@ class TestPersistence:
             assert np.array_equal(
                 mlp_proj_forward(x, cfg, params), mlp_proj_forward(x, cfg2, params2)
             )
+
+
+class TestLoadValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2), c_hidden=6)
+        save_projector(tmp_path / "proj", cfg, init_projector_params(cfg, 11))
+        return tmp_path / "proj"
+
+    @staticmethod
+    def edit_manifest(dirpath, edit):
+        path = dirpath / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_wrong_schema_rejected(self, saved):
+        self.edit_manifest(saved, lambda m: m.update(schema="framescope/projector-manifest-v9"))
+        with pytest.raises(ArgumentError, match="projector-manifest-v9"):
+            load_projector(saved)
+
+    @pytest.mark.parametrize("key", ["schema", "config", "tensors"])
+    def test_missing_manifest_key_named(self, saved, key):
+        self.edit_manifest(saved, lambda m: m.pop(key))
+        with pytest.raises(ArgumentError, match=key):
+            load_projector(saved)
+
+    def test_missing_config_key_named(self, saved):
+        self.edit_manifest(saved, lambda m: m["config"].pop("c_in"))
+        with pytest.raises(ArgumentError, match="c_in"):
+            load_projector(saved)
+
+    def test_consistently_mis_shaped_tensors_rejected(self, saved):
+        """ffn1 hidden 5 against a config hidden of 6: every layer agrees with its
+        neighbour, so only a check against the config catches it."""
+        rng = np.random.default_rng(0)
+        for name, shape in (("ffn1_weight", (5, 5)), ("ffn1_bias", (5,)), ("ffn2_weight", (5, 4))):
+            write_features(saved / f"{name}.mvgf", rng.standard_normal(shape).astype(np.float32))
+        with pytest.raises(ShapeError, match="ffn1.weight"):
+            load_projector(saved)
