@@ -244,6 +244,7 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ArgumentError(f"--repeat must be >= 1, got {args.repeat}")
     cfg = _load_config(args)
+    run_pipeline(cfg, source=_make_source(args))  # untimed warm-up: builds the weights
     runs = []
     digest = None
     for _ in range(args.repeat):
@@ -341,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--features", default=None)
     p.add_argument("--video-features", default=None)
-    p.add_argument("--repeat", "-r", type=int, default=3)
+    p.add_argument(
+        "--repeat", "-r", type=int, default=3,
+        help="timed runs, taken after one untimed warm-up run (default 3)",
+    )
     p.set_defaults(handler=_cmd_bench)
 
     return parser

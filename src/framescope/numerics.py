@@ -1,8 +1,12 @@
 """Dense tensor kernels with analytic backward passes.
 
-Tensors are plain numpy arrays: row-major (C-order), dtype float32 or
-float64.  float32 is the default compute dtype; float64 is used for
-gradient checking.  Every kernel is a pure function of its inputs and is
+Tensors are plain numpy arrays of dtype float32 or float64.  float32 is
+the default compute dtype; float64 is used for gradient checking.  The
+spatial kernels take and return a logical (..., C, H, W) shape but work
+channel-last (..., H, W, C) in memory: an input whose memory is already
+channel-last is read without a copy, and the result may be a
+non-contiguous channel-last view.  Callers rely on shapes and values,
+never on strides.  Every kernel is a pure function of its inputs and is
 deterministic bit-for-bit: identical inputs give identical outputs across
 runs and processes, because all reductions happen in a fixed order.
 
@@ -39,6 +43,7 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_CHUNK = 1 << 16  # elements gelu evaluates per pass
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +183,27 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU activation, tanh approximation.
 
-    Exactly: ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))``.
+    Exactly: ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))``,
+    with that expression's operations in that order, evaluated in place in
+    the output a cache-sized chunk at a time; x is left unchanged.
     """
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
+    dtype = np.result_type(x, 0.5)
+    out = np.empty(x.shape, dtype)
+    flat_out, flat_x = out.reshape(-1), x.reshape(-1)
+    half = np.empty(min(_GELU_CHUNK, flat_out.size), dtype)
+    for i in range(0, flat_out.size, _GELU_CHUNK):
+        o, xs = flat_out[i : i + _GELU_CHUNK], flat_x[i : i + _GELU_CHUNK]
+        np.multiply(_GELU_A, xs, out=o)
+        o *= xs
+        o *= xs
+        o += xs
+        o *= _GELU_C
+        np.tanh(o, out=o)
+        o += 1.0
+        h = half[: o.size]
+        np.multiply(0.5, xs, out=h)
+        o *= h
+    return out
 
 
 def linear(x: np.ndarray, p: LinearParams) -> np.ndarray:
@@ -191,7 +214,8 @@ def linear(x: np.ndarray, p: LinearParams) -> np.ndarray:
             f"{p.weight.shape}"
         )
     flat = x.reshape(-1, p.c_in)
-    out = matmul(flat, p.weight) + p.bias
+    out = matmul(flat, p.weight)
+    out += p.bias
     return out.reshape(*x.shape[:-1], p.c_out)
 
 
@@ -231,21 +255,39 @@ def adaptive_avg_pool2d(x: np.ndarray, hr: int, wr: int) -> np.ndarray:
     ``rows [floor(i*H/hr), ceil((i+1)*H/hr)) x cols [floor(j*W/wr), ceil((j+1)*W/wr))``.
     Regions may overlap when hr does not divide H.  With hr == H and
     wr == W this is the identity; upsampling is not supported.  Computed
-    as ``P_h @ x @ P_w^T`` with the two averaging matrices.
+    channel-last with the two averaging matrices: ``P_h`` as one product
+    over (..., H, W*C), then ``P_w`` over (..., hr, W, C).  The result is
+    a channel-last view, so an input already laid out as (..., H, W, C)
+    in memory is read without a copy.
     """
     if x.ndim < 3:
         raise ShapeError(f"adaptive_avg_pool2d needs (..., C, H, W), got {x.shape}")
     *batch, c, h, w = x.shape
     p_h, p_w = _pool_matrix(h, hr, x.dtype), _pool_matrix(w, wr, x.dtype)
     _add_macs(math.prod(batch) * c * hr * wr)
-    return p_h @ x @ p_w.T
+    # Contiguous operands, so both layouts reach the same BLAS call and bits.
+    xl = np.ascontiguousarray(np.moveaxis(x, -3, -1)).reshape(*batch, h, w * c)
+    rows = p_h @ xl
+    return np.moveaxis(p_w @ rows.reshape(*batch, hr, w, c), -1, -3)
+
+
+# Output and input slices along one axis for tap offset u: output cell i
+# reads input cell i + u - 1.  Taps that fall in the zero border are
+# skipped: with a finite kernel their products are +-0, which leave the sum
+# unchanged.
+_TAP_SLICES = (
+    (slice(1, None), slice(None, -1)),
+    (slice(None), slice(None)),
+    (slice(None, -1), slice(1, None)),
+)
 
 
 def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus bias.
 
-    Output has the same (..., C, H, W) shape as the input.  The nine taps
-    are accumulated in fixed scan order.
+    Output has the same (..., C, H, W) logical shape as the input and is a
+    channel-last view.  The nine taps are accumulated in fixed scan order
+    into a zero-initialised output, then the bias is added.
     """
     if x.ndim < 3:
         raise ShapeError(f"depthwise_conv3x3 needs (..., C, H, W), got {x.shape}")
@@ -254,15 +296,19 @@ def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ShapeError(
             f"input has {c} channels but kernel is {p.kernel.shape}"
         )
-    pad = np.zeros((*batch, c, h + 2, w + 2), dtype=x.dtype)
-    pad[..., 1 : h + 1, 1 : w + 1] = x
-    out = np.zeros(x.shape, dtype=x.dtype)
-    for u in range(3):
-        for v in range(3):
-            out += p.kernel[:, u, v][:, None, None] * pad[..., u : u + h, v : v + w]
-    out += p.bias[:, None, None]
+    xl = np.moveaxis(x, -3, -1)
+    taps = np.ascontiguousarray(np.moveaxis(p.kernel, 0, -1))  # (3, 3, C)
+    out = np.zeros(xl.shape, dtype=x.dtype)
+    prod = np.empty(xl.shape, dtype=np.result_type(x, p.kernel))
+    for u, (out_r, in_r) in enumerate(_TAP_SLICES):
+        for v, (out_c, in_c) in enumerate(_TAP_SLICES):
+            region = out[..., out_r, out_c, :]
+            tap = prod[..., out_r, out_c, :]
+            np.multiply(taps[u, v], xl[..., in_r, in_c, :], out=tap)
+            region += tap
+    out += p.bias
     _add_macs(9 * math.prod(batch) * c * h * w)
-    return out
+    return np.moveaxis(out, -1, -3)
 
 
 # ---------------------------------------------------------------------------

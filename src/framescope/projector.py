@@ -201,10 +201,13 @@ def et_proj_forward(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams
     h, w = cfg.grid_in
     hr, wr = cfg.grid_out
     b = x.shape[0]
-    y = ffn_forward(x, params.ffn1, params.ffn2)  # (B, N, C_out)
-    grid = y.reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2)  # (B, C_out, H, W)
-    pooled = adaptive_avg_pool2d(grid, hr, wr)
-    out = pooled + depthwise_conv3x3(pooled, params.posenc)
+    # The FFN output (B, N, C_out) is already (B, H, W, C_out) in memory, so
+    # the pool reads it channel-last without a copy; it is freed before the conv.
+    grid = ffn_forward(x, params.ffn1, params.ffn2).reshape(b, h, w, cfg.c_out)
+    pooled = adaptive_avg_pool2d(grid.transpose(0, 3, 1, 2), hr, wr)
+    del grid
+    out = depthwise_conv3x3(pooled, params.posenc)
+    out += pooled  # skip connection
     return out.transpose(0, 2, 3, 1).reshape(b, hr * wr, cfg.c_out)
 
 

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from framescope import schemas
+from framescope import cli, pipeline, schemas
 from framescope.cli import main
 from framescope.features import read_features
 
@@ -312,6 +312,25 @@ class TestBench:
         assert on["stages"]["video_projection"]["macs"] * 2 == (
             off["stages"]["video_projection"]["macs"]
         )
+
+    def test_untimed_warm_up_run_precedes_timed_runs(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return pipeline.run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", counting)
+        pipeline._branch_params.cache_clear()
+        report = parse_report(capsys, "bench", "--frames", "4", "--repeat", "2",
+                              schema=schemas.BENCH_REPORT)
+        assert len(calls) == 3
+        assert report["repeat"] == 2
+
+    def test_medians_exclude_the_cold_weight_build(self, capsys):
+        pipeline._branch_params.cache_clear()
+        report = parse_report(capsys, "bench", "--frames", "4", "--repeat", "2")
+        assert report["stages"]["params"]["median_ms"] < 1.0
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one_fails_with_json_error(self, capsys, repeat):

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from framescope import numerics
 from framescope.errors import ShapeError, UnsupportedUpsampleError
 from framescope.numerics import (
     ConvParams,
@@ -355,3 +359,133 @@ class TestBatchedKernels:
             adaptive_avg_pool2d(np.zeros((4, 4)), 2, 2)
         with pytest.raises(ShapeError):
             depthwise_conv3x3(np.zeros((4, 4)), p)
+
+
+def conv_reference(x, p):
+    """The channel-first nine-tap loop over a zero-padded copy.
+
+    Bitwise reference for ``depthwise_conv3x3``: same product and
+    accumulation order, with the border taps multiplying explicit zeros.
+    """
+    *batch, c, h, w = x.shape
+    pad = np.zeros((*batch, c, h + 2, w + 2), dtype=x.dtype)
+    pad[..., 1 : h + 1, 1 : w + 1] = x
+    out = np.zeros(x.shape, dtype=x.dtype)
+    for u in range(3):
+        for v in range(3):
+            out += p.kernel[:, u, v][:, None, None] * pad[..., u : u + h, v : v + w]
+    out += p.bias[:, None, None]
+    return out
+
+
+def gelu_reference(x):
+    """The one-line tanh GELU expression that ``gelu`` evaluates in place."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+
+
+def channel_last_copy(x):
+    """Same values and logical (..., C, H, W) shape, channel-last memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -3, -1)), -1, -3)
+
+
+GEOMETRY = dict(
+    seed=st.integers(0, 2**32 - 1),
+    f=st.integers(1, 3),
+    c=st.integers(1, 6),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    data=st.data(),
+)
+
+
+class TestChannelLastLayout:
+    """Kernels give the same bits whether the input is channel-first or channel-last."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), **GEOMETRY)
+    # data=None pools to one cell.  W = 1 lets the channel-first input
+    # reshape to (H, W*C) without a copy, as a strided operand.
+    @example(dtype=np.float32, seed=1, f=2, c=3, h=1, w=5, data=None)
+    @example(dtype=np.float32, seed=2, f=2, c=3, h=6, w=1, data=None)
+    @example(dtype=np.float64, seed=3, f=1, c=2, h=3, w=1, data=None)
+    def test_layouts_agree_and_match_references(self, dtype, seed, f, c, h, w, data):
+        hr = data.draw(st.integers(1, h)) if data else 1
+        wr = data.draw(st.integers(1, w)) if data else 1
+        rng = np.random.default_rng(seed)
+        first = rng.standard_normal((f, c, h, w)).astype(dtype)
+        last = channel_last_copy(first)
+        assert np.moveaxis(last, -3, -1).flags.c_contiguous
+        p = ConvParams(
+            rng.standard_normal((c, 3, 3)).astype(dtype), rng.standard_normal(c).astype(dtype)
+        )
+
+        conv = depthwise_conv3x3(first, p)
+        assert conv.shape == (f, c, h, w)
+        assert np.array_equal(depthwise_conv3x3(last, p), conv)
+        assert np.array_equal(conv, conv_reference(first, p))
+
+        pooled = adaptive_avg_pool2d(first, hr, wr)
+        assert pooled.shape == (f, c, hr, wr)
+        assert np.array_equal(adaptive_avg_pool2d(last, hr, wr), pooled)
+        oracle = np.stack([pool_oracle(frame, hr, wr) for frame in first])
+        assert np.allclose(pooled, oracle, rtol=0, atol=1e-6)
+
+
+class TestOperatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(**GEOMETRY)
+    def test_conv_adjointness(self, seed, f, c, h, w, data):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((f, c, h, w))
+        g = rng.standard_normal((f, c, h, w))
+        p = ConvParams(rng.standard_normal((c, 3, 3)), np.zeros(c))
+        lhs = np.vdot(depthwise_conv3x3(x, p), g)
+        rhs = np.vdot(x, conv_grad(x, p, g)[0])
+        assert abs(lhs - rhs) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_pool_matrix_rows_sum_to_one(self, n, data):
+        r = data.draw(st.integers(1, n))
+        m = numerics._pool_matrix(n, r, np.dtype(np.float64))
+        assert np.allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.floats(-1e6, 1e6), **GEOMETRY)
+    def test_constant_pools_to_itself(self, value, seed, f, c, h, w, data):
+        hr, wr = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        x = np.full((f, c, h, w), value)
+        assert np.allclose(adaptive_avg_pool2d(x, hr, wr), value, rtol=1e-12, atol=0)
+
+
+class TestGeluInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.sampled_from([np.float32, np.float64]).flatmap(
+            lambda dtype: hnp.arrays(
+                dtype,
+                hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                elements=st.floats(width=np.finfo(dtype).bits, allow_nan=False),
+            )
+        )
+    )
+    def test_matches_one_line_expression(self, x):
+        with np.errstate(all="ignore"):
+            expected = gelu_reference(x)
+            assert np.array_equal(gelu(x), expected, equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_across_chunks_and_strides(self, dtype):
+        rng = np.random.default_rng(12)
+        n = 3 * numerics._GELU_CHUNK + 17
+        x = (rng.standard_normal(n) * rng.choice([1e-42, 1e-3, 1.0, 30.0], n)).astype(dtype)
+        assert np.array_equal(gelu(x), gelu_reference(x))
+        strided = x[: 2 * (n // 2)].reshape(-1, 2).T
+        assert np.array_equal(gelu(strided), gelu_reference(strided))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_unchanged(self, dtype):
+        x = np.random.default_rng(13).standard_normal((5, 7)).astype(dtype)
+        before = x.copy()
+        gelu(x)
+        assert np.array_equal(x, before)

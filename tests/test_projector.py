@@ -1,6 +1,7 @@
 """Token projectors: shape laws, identities, oracles, persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from framescope.features import (
     write_features,
 )
 from framescope.numerics import adaptive_avg_pool2d, ffn_forward
+from framescope.pipeline import default_config
 from framescope.projector import (
     ET_PROJ,
     MLP_PROJ,
@@ -190,6 +192,24 @@ class TestProjectBranch:
         feats = synth_image_features(0, 2, EncoderSpec("e", (4, 4), 4))
         with pytest.raises(ShapeError):
             project_branch(feats, cfg, params, "image")
+
+    def test_image_branch_peak_allocation(self):
+        """Default image branch: 16 x 196 tokens, 768 -> 896 -> 896, pooled to 12 x 12.
+
+        The two live FFN activations (2 x 11.2 MB) and the pool's
+        intermediates set the peak; the GELU and conv temporaries stay
+        chunk-sized, and the FFN output is freed before the conv.
+        """
+        cfg = default_config(0).image_projector
+        params = init_projector_params(cfg, 0)
+        feats = synth_image_features(0, 16, EncoderSpec("synthetic-image", (14, 14), 768))
+        tracemalloc.start()
+        try:
+            project_branch(feats, cfg, params, "image")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestParamsInit:
