@@ -10,13 +10,13 @@ import numpy as np
 
 from framescope import (
     EncoderSpec,
+    LinearParams,
     ProjectorConfig,
-    et_proj_forward,
     ffn_forward,
     adaptive_avg_pool2d,
     init_projector_params,
-    mlp_proj_forward,
     project_branch,
+    projector_forward,
     synth_image_features,
     synth_video_features,
 )
@@ -44,12 +44,17 @@ print("mlp baseline:", mlp_seq.tokens.shape, "->", mlp_seq.count, "tokens (16 x 
 # A fresh reducing projector has a zero positional encoder, so its output
 # is exactly the pooled FFN output (the skip connection passes through).
 cfg = ProjectorConfig("et_proj", c_in=6, c_out=5, grid_in=(4, 4), grid_out=(2, 2))
-params = init_projector_params(cfg, seed=42)
+params = init_projector_params(cfg, seed=42)  # role -> array: "ffn1.weight", ...
+print("\nparameter roles:", list(params))
 x = np.random.default_rng(0).standard_normal((1, 16, 6)).astype(np.float32)
-out = et_proj_forward(x, cfg, params)
-ffn = ffn_forward(x, params.ffn1, params.ffn2)
+out = projector_forward(x, cfg, params)
+ffn = ffn_forward(
+    x,
+    LinearParams(params["ffn1.weight"], params["ffn1.bias"]),
+    LinearParams(params["ffn2.weight"], params["ffn2.bias"]),
+)
 pooled = adaptive_avg_pool2d(ffn[0].reshape(4, 4, 5).transpose(2, 0, 1), 2, 2)
-print("\nzero positional encoder == pooled FFN:",
+print("zero positional encoder == pooled FFN:",
       np.array_equal(out[0], pooled.transpose(1, 2, 0).reshape(4, 5)))
 
 # Cost per frame (multiplies), same input geometry:

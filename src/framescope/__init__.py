@@ -23,7 +23,6 @@ from .features import (
     DEFAULT_VIDEO_SPEC,
     EncoderSpec,
     FrameFeatures,
-    VideoFeatures,
     read_features,
     splitmix64,
     synth_image_features,
@@ -65,11 +64,12 @@ from .projector import (
     ProjectorConfig,
     ProjectorParams,
     TokenSequence,
-    et_proj_forward,
     init_projector_params,
     load_projector,
-    mlp_proj_forward,
     project_branch,
+    projector_backward,
+    projector_forward,
+    role_shapes,
     save_projector,
 )
 from .selection import (

@@ -78,6 +78,8 @@ def _load_config(args) -> PipelineConfig:
                 raise ArgumentError(f"config {args.config} is not valid JSON: {exc}") from None
             except KeyError as exc:
                 raise ArgumentError(f"config {args.config} is missing key {exc}") from None
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                raise ArgumentError(f"config {args.config} is invalid: {exc}") from None
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed

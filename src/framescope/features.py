@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,7 +139,10 @@ DEFAULT_VIDEO_SPEC = EncoderSpec("synthetic-video", (14, 14), 576)
 
 @dataclass
 class FrameFeatures:
-    """Per-frame spatial features: tensor (T, H, W, D)."""
+    """Per-frame spatial features of either encoder: tensor (T, H, W, D).
+
+    For the video encoder T is the number of selected key-frames.
+    """
 
     tensor: np.ndarray
 
@@ -148,32 +151,6 @@ class FrameFeatures:
             raise ShapeError(f"frame features must be (T, H, W, D), got {self.tensor.shape}")
         if min(self.tensor.shape) < 1:
             raise ShapeError(f"frame feature dims must be positive, got {self.tensor.shape}")
-
-    @property
-    def frames(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.tensor.shape[1], self.tensor.shape[2]
-
-    @property
-    def depth(self) -> int:
-        return self.tensor.shape[3]
-
-
-@dataclass
-class VideoFeatures:
-    """Clip-level temporal features for selected key-frames: tensor (K, H, W, D)."""
-
-    tensor: np.ndarray
-    keyframe_indices: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.tensor.ndim != 4:
-            raise ShapeError(f"video features must be (K, H, W, D), got {self.tensor.shape}")
-        if min(self.tensor.shape) < 1:
-            raise ShapeError(f"video feature dims must be positive, got {self.tensor.shape}")
 
     @property
     def frames(self) -> int:
@@ -209,7 +186,7 @@ def synth_video_features(
     seed: int,
     keyframe_indices: "list[int] | tuple[int, ...]",
     spec: EncoderSpec = DEFAULT_VIDEO_SPEC,
-) -> VideoFeatures:
+) -> FrameFeatures:
     """Deterministic video-encoder stand-in over the selected key-frames.
 
     Frame slot j mixes the frame's source index into its value stream:
@@ -229,7 +206,7 @@ def synth_video_features(
         stream_values(seed ^ splitmix64(frame_index), h * w * spec.depth).reshape(h, w, spec.depth)
         for frame_index in idxs
     ]
-    return VideoFeatures(np.stack(slots, axis=0), tuple(idxs))
+    return FrameFeatures(np.stack(slots, axis=0))
 
 
 # ---------------------------------------------------------------------------

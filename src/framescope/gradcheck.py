@@ -136,54 +136,23 @@ def _projector_case(rng, kind):
         c_hidden=4,
     )
     params = projector.init_projector_params(cfg, seed=int(rng.integers(2**32)))
-    # float64 parameters with nonzero positional encoder for a meaningful check
-    if kind == projector.ET_PROJ:
-        params.ffn1 = numerics.LinearParams(
-            params.ffn1.weight.astype(np.float64), _uniform(rng, (cfg.hidden,), 0.1)
-        )
-        params.ffn2 = numerics.LinearParams(
-            params.ffn2.weight.astype(np.float64), _uniform(rng, (cfg.c_out,), 0.1)
-        )
-        params.posenc = numerics.ConvParams(
-            _uniform(rng, (cfg.c_out, 3, 3), 0.5), _uniform(rng, (cfg.c_out,), 0.1)
-        )
-        arrays = [
-            params.ffn1.weight, params.ffn1.bias,
-            params.ffn2.weight, params.ffn2.bias,
-            params.posenc.kernel, params.posenc.bias,
-        ]
-        forward = projector.et_proj_forward
-        backward = projector.et_proj_backward
-
-        def unpack(grads):
-            return [*grads["ffn1"], *grads["ffn2"], *grads["posenc"]]
-
-    else:
-        params.mlp = [
-            numerics.LinearParams(params.mlp[0].weight.astype(np.float64), _uniform(rng, (cfg.hidden,), 0.1)),
-            numerics.LinearParams(params.mlp[1].weight.astype(np.float64), _uniform(rng, (cfg.c_out,), 0.1)),
-        ]
-        arrays = [
-            params.mlp[0].weight, params.mlp[0].bias,
-            params.mlp[1].weight, params.mlp[1].bias,
-        ]
-        forward = projector.mlp_proj_forward
-        backward = projector.mlp_proj_backward
-
-        def unpack(grads):
-            return [*grads["mlp0"], *grads["mlp1"]]
-
+    # float64 parameters with nonzero biases and positional encoder for a meaningful check
+    for role, array in params.items():
+        if role.endswith(".weight"):
+            params[role] = array.astype(np.float64)
+        else:
+            params[role] = _uniform(rng, array.shape, 0.5 if role.endswith(".kernel") else 0.1)
     x = _uniform(rng, (2, cfg.tokens_in, cfg.c_in))
 
     def loss():
-        return float(np.sum(forward(x, cfg, params) ** 2))
+        return float(np.sum(projector.projector_forward(x, cfg, params) ** 2))
 
     def analytic():
-        y = forward(x, cfg, params)
-        dx, grads = backward(x, cfg, params, 2.0 * y)
-        return [dx, *unpack(grads)]
+        y = projector.projector_forward(x, cfg, params)
+        dx, grads = projector.projector_backward(x, cfg, params, 2.0 * y)
+        return [dx, *grads.values()]
 
-    return loss, analytic, [x, *arrays]
+    return loss, analytic, [x, *params.values()]
 
 
 _CASES = {

@@ -31,7 +31,6 @@ from .features import (
     DEFAULT_VIDEO_SPEC,
     EncoderSpec,
     FrameFeatures,
-    VideoFeatures,
     read_features,
     splitmix64,
     synth_image_features,
@@ -46,7 +45,6 @@ from .projector import (
     TokenSequence,
     init_projector_params,
     project_branch,
-    role_tensors,
 )
 from .selection import FrameScore, KeyFrameSet, frame_scores, top_k_frames, uniform_sample_indices
 
@@ -382,7 +380,7 @@ class SyntheticSource:
     def image_features(self, cfg: PipelineConfig) -> FrameFeatures:
         return synth_image_features(cfg.seed, cfg.frames, cfg.image_encoder)
 
-    def video_features(self, cfg: PipelineConfig, indices: tuple[int, ...]) -> VideoFeatures:
+    def video_features(self, cfg: PipelineConfig, indices: tuple[int, ...]) -> FrameFeatures:
         return synth_video_features(cfg.seed, indices, cfg.video_encoder)
 
 
@@ -413,10 +411,10 @@ class FileSource:
             feats = FrameFeatures(feats.tensor[picks])
         return feats
 
-    def video_features(self, cfg: PipelineConfig, indices: tuple[int, ...]) -> VideoFeatures:
+    def video_features(self, cfg: PipelineConfig, indices: tuple[int, ...]) -> FrameFeatures:
         if self.video_path is None:
             return synth_video_features(cfg.seed, indices, cfg.video_encoder)
-        feats = VideoFeatures(read_features(self.video_path), tuple(indices))
+        feats = FrameFeatures(read_features(self.video_path))
         if feats.frames != len(indices):
             raise ShapeError(
                 f"video feature file holds {feats.frames} frames but {len(indices)} "
@@ -461,7 +459,7 @@ def _branch_params(cfg: ProjectorConfig, seed: int) -> ProjectorParams:
     wrapper installed there sees each cache miss.
     """
     params = init_projector_params(cfg, seed)
-    for array in role_tensors(cfg, params).values():
+    for array in params.values():
         array.flags.writeable = False
     return params
 

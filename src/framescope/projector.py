@@ -11,10 +11,11 @@ Two kinds share one config/param surface:
 ``project_branch`` projects every frame of a feature tensor in one batched
 call; frames never mix, so the token blocks come out in temporal order.
 
-Fresh parameters are deterministic: FFN weights come from the splitmix64
-value stream scaled by 1/sqrt(fan_in); biases and the positional-encoder
-weights start at zero, so a new et_proj is exactly ``pool(ffn(x))`` until
-trained.
+Parameters are one mapping from tensor role to array, ``"ffn1.weight"``,
+``"posenc.kernel"``, ``"mlp0.bias"`` and so on, in file order.  Fresh
+parameters are deterministic: FFN weights come from the splitmix64 value
+stream scaled by 1/sqrt(fan_in); biases and the positional-encoder weights
+start at zero, so a new et_proj is exactly ``pool(ffn(x))`` until trained.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .features import (
     FrameFeatures,
-    VideoFeatures,
     read_features,
     splitmix64,
     stream_values,
@@ -66,7 +66,7 @@ class ProjectorConfig:
             object.__setattr__(self, "c_hidden", self.c_out)
         if self.kind not in (ET_PROJ, MLP_PROJ):
             raise ArgumentError(f"unknown projector kind {self.kind!r}")
-        if min(self.c_in, self.c_out, self.hidden) < 1:
+        if min(self.c_in, self.c_out, self.c_hidden) < 1:
             raise ArgumentError("channel widths must be positive")
         if min(self.grid_in) < 1 or min(self.grid_out) < 1:
             raise ArgumentError(f"grids must be positive, got {self.grid_in} -> {self.grid_out}")
@@ -82,10 +82,6 @@ class ProjectorConfig:
             )
 
     @property
-    def hidden(self) -> int:
-        return self.c_hidden
-
-    @property
     def tokens_in(self) -> int:
         return self.grid_in[0] * self.grid_in[1]
 
@@ -97,7 +93,7 @@ class ProjectorConfig:
     def macs_per_frame(self) -> int:
         """Forward multiplies for one frame, matching the instrumented kernels."""
         n = self.tokens_in
-        ffn = n * self.c_in * self.hidden + n * self.hidden * self.c_out
+        ffn = n * self.c_in * self.c_hidden + n * self.c_hidden * self.c_out
         if self.kind == MLP_PROJ:
             return ffn
         hr, wr = self.grid_out
@@ -109,7 +105,7 @@ class ProjectorConfig:
         return {
             "kind": self.kind,
             "c_in": self.c_in,
-            "c_hidden": self.hidden,
+            "c_hidden": self.c_hidden,
             "c_out": self.c_out,
             "grid_in": list(self.grid_in),
             "grid_out": list(self.grid_out),
@@ -127,14 +123,28 @@ class ProjectorConfig:
         )
 
 
-@dataclass
-class ProjectorParams:
-    """Learnable state of one projector; fields depend on the kind."""
+# Learnable state of one projector: tensor role ("ffn1.weight", ...) -> array, in file order.
+ProjectorParams = dict[str, np.ndarray]
 
-    ffn1: LinearParams | None = None
-    ffn2: LinearParams | None = None
-    posenc: ConvParams | None = None
-    mlp: list[LinearParams] = field(default_factory=list)
+# The layers of each kind, in file order.  A linear layer has the roles
+# "<layer>.weight" and "<layer>.bias", the positional conv "posenc.kernel"
+# and "posenc.bias".
+_LAYERS = {ET_PROJ: ("ffn1", "ffn2", "posenc"), MLP_PROJ: ("mlp0", "mlp1")}
+
+
+def role_shapes(cfg: ProjectorConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor role, in file order; both kinds start with the same two linears."""
+    first, second, *conv = _LAYERS[cfg.kind]
+    shapes = {
+        f"{first}.weight": (cfg.c_in, cfg.c_hidden),
+        f"{first}.bias": (cfg.c_hidden,),
+        f"{second}.weight": (cfg.c_hidden, cfg.c_out),
+        f"{second}.bias": (cfg.c_out,),
+    }
+    for name in conv:
+        shapes[f"{name}.kernel"] = (cfg.c_out, 3, 3)
+        shapes[f"{name}.bias"] = (cfg.c_out,)
+    return shapes
 
 
 @dataclass
@@ -162,18 +172,16 @@ def _stream_weights(seed: int, role: int, shape: tuple[int, ...], scale: float) 
 
 
 def init_projector_params(cfg: ProjectorConfig, seed: int) -> ProjectorParams:
-    """Deterministic fresh parameters for the given config and seed."""
-    w1 = _stream_weights(seed, 1, (cfg.c_in, cfg.hidden), 1.0 / math.sqrt(cfg.c_in))
-    w2 = _stream_weights(seed, 2, (cfg.hidden, cfg.c_out), 1.0 / math.sqrt(cfg.hidden))
-    l1 = LinearParams(w1, np.zeros(cfg.hidden, dtype=np.float32))
-    l2 = LinearParams(w2, np.zeros(cfg.c_out, dtype=np.float32))
-    if cfg.kind == MLP_PROJ:
-        return ProjectorParams(mlp=[l1, l2])
-    posenc = ConvParams(
-        np.zeros((cfg.c_out, 3, 3), dtype=np.float32),
-        np.zeros(cfg.c_out, dtype=np.float32),
-    )
-    return ProjectorParams(ffn1=l1, ffn2=l2, posenc=posenc)
+    """Deterministic fresh parameters: the two FFN weights from value streams 1 and 2, the rest zero."""
+    params = {}
+    stream = 1
+    for role, shape in role_shapes(cfg).items():
+        if role.endswith(".weight"):
+            params[role] = _stream_weights(seed, stream, shape, 1.0 / math.sqrt(shape[0]))
+            stream += 1
+        else:
+            params[role] = np.zeros(shape, dtype=np.float32)
+    return params
 
 
 def _check_input(x: np.ndarray, cfg: ProjectorConfig) -> None:
@@ -188,71 +196,62 @@ def _check_input(x: np.ndarray, cfg: ProjectorConfig) -> None:
         raise ShapeError(f"channel width {x.shape[2]} does not match c_in {cfg.c_in}")
 
 
-def et_proj_forward(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams) -> np.ndarray:
-    """FFN -> grid reshape -> adaptive pool -> positional conv with skip.
+def _ffn_layers(cfg: ProjectorConfig, params: ProjectorParams) -> tuple[LinearParams, LinearParams]:
+    return tuple(
+        LinearParams(params[f"{name}.weight"], params[f"{name}.bias"]) for name in _LAYERS[cfg.kind][:2]
+    )
+
+
+def projector_forward(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams) -> np.ndarray:
+    """Per-token FFN; et_proj then pools onto grid_out and adds a positional conv with skip.
 
     x: (B, N, C_in) with N = H*W (token n sits at grid cell (n // W, n % W));
-    returns (B, Hr*Wr, C_out).  With zero positional-encoder parameters the
-    skip connection makes the output exactly the pooled FFN output.
+    returns (B, tokens_out, C_out).  With zero positional-encoder parameters
+    the skip connection makes et_proj exactly the pooled FFN output.
     """
     _check_input(x, cfg)
-    if cfg.kind != ET_PROJ:
-        raise ArgumentError(f"config kind is {cfg.kind!r}, expected {ET_PROJ!r}")
+    out = ffn_forward(x, *_ffn_layers(cfg, params))
+    if cfg.kind == MLP_PROJ:
+        return out
     h, w = cfg.grid_in
     hr, wr = cfg.grid_out
     b = x.shape[0]
     # The FFN output (B, N, C_out) is already (B, H, W, C_out) in memory, so
     # the pool reads it channel-last without a copy; it is freed before the conv.
-    grid = ffn_forward(x, params.ffn1, params.ffn2).reshape(b, h, w, cfg.c_out)
-    pooled = adaptive_avg_pool2d(grid.transpose(0, 3, 1, 2), hr, wr)
-    del grid
-    out = depthwise_conv3x3(pooled, params.posenc)
+    pooled = adaptive_avg_pool2d(out.reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2), hr, wr)
+    del out
+    out = depthwise_conv3x3(pooled, ConvParams(params["posenc.kernel"], params["posenc.bias"]))
     out += pooled  # skip connection
     return out.transpose(0, 2, 3, 1).reshape(b, hr * wr, cfg.c_out)
 
 
-def et_proj_backward(
+def projector_backward(
     x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams, g: np.ndarray
-) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
-    """Gradients of et_proj_forward; returns (dx, {ffn1, ffn2, posenc})."""
+) -> tuple[np.ndarray, ProjectorParams]:
+    """Gradients of projector_forward: (dx, parameter gradients keyed like params)."""
     _check_input(x, cfg)
-    h, w = cfg.grid_in
-    hr, wr = cfg.grid_out
     b = x.shape[0]
-    if g.shape != (b, hr * wr, cfg.c_out):
+    if g.shape != (b, cfg.tokens_out, cfg.c_out):
         raise ShapeError(
-            f"upstream gradient {g.shape} does not match output ({b}, {hr * wr}, {cfg.c_out})"
+            f"upstream gradient {g.shape} does not match output ({b}, {cfg.tokens_out}, {cfg.c_out})"
         )
-    y = ffn_forward(x, params.ffn1, params.ffn2)
-    grid = y.reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2)
-    g_grid = g.reshape(b, hr, wr, cfg.c_out).transpose(0, 3, 1, 2)
-    pooled = adaptive_avg_pool2d(grid, hr, wr)
-    dconv_in, dk, db = conv_grad(pooled, params.posenc, g_grid)
-    dy_grid = pool_grad(grid.shape, g_grid + dconv_in)  # skip connection
-    dy = dy_grid.transpose(0, 2, 3, 1).reshape(b, h * w, cfg.c_out)
-    dx, dffn1, dffn2 = ffn_grad(x, params.ffn1, params.ffn2, dy)
-    return dx, {"ffn1": dffn1, "ffn2": dffn2, "posenc": (dk, db)}
-
-
-def mlp_proj_forward(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams) -> np.ndarray:
-    """Per-token two-layer MLP; token count unchanged: (B, N, C_in) -> (B, N, C_out)."""
-    _check_input(x, cfg)
-    if cfg.kind != MLP_PROJ:
-        raise ArgumentError(f"config kind is {cfg.kind!r}, expected {MLP_PROJ!r}")
-    return ffn_forward(x, params.mlp[0], params.mlp[1])
-
-
-def mlp_proj_backward(
-    x: np.ndarray, cfg: ProjectorConfig, params: ProjectorParams, g: np.ndarray
-) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
-    """Gradients of mlp_proj_forward; returns (dx, {mlp0, mlp1})."""
-    _check_input(x, cfg)
-    dx, d0, d1 = ffn_grad(x, params.mlp[0], params.mlp[1], g)
-    return dx, {"mlp0": d0, "mlp1": d1}
+    p1, p2 = _ffn_layers(cfg, params)
+    conv = ()
+    if cfg.kind == ET_PROJ:
+        h, w = cfg.grid_in
+        hr, wr = cfg.grid_out
+        grid = ffn_forward(x, p1, p2).reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2)
+        g_grid = g.reshape(b, hr, wr, cfg.c_out).transpose(0, 3, 1, 2)
+        posenc = ConvParams(params["posenc.kernel"], params["posenc.bias"])
+        dconv_in, *conv = conv_grad(adaptive_avg_pool2d(grid, hr, wr), posenc, g_grid)
+        dy_grid = pool_grad(grid.shape, g_grid + dconv_in)  # skip connection
+        g = dy_grid.transpose(0, 2, 3, 1).reshape(b, h * w, cfg.c_out)
+    dx, dffn1, dffn2 = ffn_grad(x, p1, p2, g)
+    return dx, dict(zip(role_shapes(cfg), (*dffn1, *dffn2, *conv), strict=True))
 
 
 def project_branch(
-    features: FrameFeatures | VideoFeatures,
+    features: FrameFeatures,
     cfg: ProjectorConfig,
     params: ProjectorParams,
     branch: str,
@@ -270,8 +269,7 @@ def project_branch(
     if tensor.shape[3] != cfg.c_in:
         raise ShapeError(f"feature depth {tensor.shape[3]} does not match c_in {cfg.c_in}")
     frames = tensor.shape[0]
-    forward = et_proj_forward if cfg.kind == ET_PROJ else mlp_proj_forward
-    out = forward(tensor.reshape(frames, cfg.tokens_in, cfg.c_in), cfg, params)
+    out = projector_forward(tensor.reshape(frames, cfg.tokens_in, cfg.c_in), cfg, params)
     return TokenSequence(out.reshape(1, frames * cfg.tokens_out, cfg.c_out), branch)
 
 
@@ -281,38 +279,12 @@ def project_branch(
 
 MANIFEST_SCHEMA = "framescope/projector-manifest-v1"
 
-# The layers each kind saves, in file order.  A tensor's role is
-# "<layer>.<field>" for each field of the layer's type, e.g. "ffn1.weight".
-_LAYERS = {
-    ET_PROJ: (("ffn1", LinearParams), ("ffn2", LinearParams), ("posenc", ConvParams)),
-    MLP_PROJ: (("mlp0", LinearParams), ("mlp1", LinearParams)),
-}
-
-
-def _role_shapes(cfg: ProjectorConfig) -> dict[str, tuple[int, ...]]:
-    """Expected shape of every tensor role; both kinds start with the same two linears."""
-    roles = [f"{name}.{f.name}" for name, layer in _LAYERS[cfg.kind] for f in fields(layer)]
-    linears = [(cfg.c_in, cfg.hidden), (cfg.hidden,), (cfg.hidden, cfg.c_out), (cfg.c_out,)]
-    posenc = [(cfg.c_out, 3, 3), (cfg.c_out,)] if cfg.kind == ET_PROJ else []
-    return dict(zip(roles, linears + posenc, strict=True))
-
-
-def role_tensors(cfg: ProjectorConfig, params: ProjectorParams) -> dict[str, np.ndarray]:
-    """Every tensor of ``params`` by role ("ffn1.weight", ...), in file order."""
-    layers = [params.ffn1, params.ffn2, params.posenc] if cfg.kind == ET_PROJ else params.mlp
-    return {
-        f"{name}.{f.name}": getattr(layer, f.name)
-        for (name, _), layer in zip(_LAYERS[cfg.kind], layers, strict=True)
-        for f in fields(layer)
-    }
-
 
 def save_projector(dirpath, cfg: ProjectorConfig, params: ProjectorParams) -> None:
     """Persist one projector as MVGF tensors plus manifest.json in dirpath."""
     os.makedirs(dirpath, exist_ok=True)
-    tensors = role_tensors(cfg, params)
     files = {}
-    for role, tensor in tensors.items():
+    for role, tensor in params.items():
         fname = role.replace(".", "_") + ".mvgf"
         write_features(os.path.join(dirpath, fname), tensor)
         files[role] = fname
@@ -328,15 +300,16 @@ def save_projector(dirpath, cfg: ProjectorConfig, params: ProjectorParams) -> No
 def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
     """Load a projector saved by save_projector.
 
-    Raises ArgumentError for a manifest with another schema id or missing
-    keys or tensor roles, and ShapeError for a tensor whose shape disagrees
-    with the manifest's config.
+    Raises ArgumentError, naming the manifest, for another schema id, missing
+    keys or tensor roles or an invalid config, and ShapeError for a tensor
+    whose shape disagrees with the manifest's config.
     """
-    with open(os.path.join(dirpath, "manifest.json")) as f:
+    path = os.path.join(dirpath, "manifest.json")
+    with open(path) as f:
         manifest = json.load(f)
     missing = [key for key in ("schema", "config", "tensors") if key not in manifest]
     if missing:
-        raise ArgumentError(f"projector manifest is missing keys: {missing}")
+        raise ArgumentError(f"projector manifest {path} is missing keys: {missing}")
     if manifest["schema"] != MANIFEST_SCHEMA:
         raise ArgumentError(
             f"unsupported projector manifest schema {manifest['schema']!r}; "
@@ -345,22 +318,19 @@ def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
     try:
         cfg = ProjectorConfig.from_dict(manifest["config"])
     except KeyError as exc:
-        raise ArgumentError(f"projector manifest config is missing key {exc}") from None
-    shapes = _role_shapes(cfg)
+        raise ArgumentError(f"projector manifest {path} config is missing key {exc}") from None
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"projector manifest {path} has an invalid config: {exc}") from None
+    shapes = role_shapes(cfg)
     missing = [role for role in shapes if role not in manifest["tensors"]]
     if missing:
         raise ArgumentError(f"manifest is missing tensor roles: {missing}")
-    tensors = {}
+    params = {}
     for role, shape in shapes.items():
-        tensors[role] = read_features(os.path.join(dirpath, manifest["tensors"][role]))
-        if tensors[role].shape != shape:
+        params[role] = read_features(os.path.join(dirpath, manifest["tensors"][role]))
+        if params[role].shape != shape:
             raise ShapeError(
-                f"tensor {role} has shape {tensors[role].shape} but the manifest "
+                f"tensor {role} has shape {params[role].shape} but the manifest "
                 f"config needs {shape}"
             )
-    layers = [
-        layer(*(tensors[f"{name}.{f.name}"] for f in fields(layer)))
-        for name, layer in _LAYERS[cfg.kind]
-    ]
-    params = ProjectorParams(*layers) if cfg.kind == ET_PROJ else ProjectorParams(mlp=layers)
     return cfg, params

@@ -23,7 +23,7 @@ from framescope.features import (
     synth_image_features,
     write_features,
 )
-from framescope.numerics import adaptive_avg_pool2d, count_macs, ffn_forward
+from framescope.numerics import LinearParams, adaptive_avg_pool2d, count_macs, ffn_forward
 from framescope.pipeline import (
     IMAGE_ONLY,
     NO_SELECTION,
@@ -36,9 +36,9 @@ from framescope.pipeline import (
 )
 from framescope.projector import (
     ET_PROJ,
-    et_proj_forward,
     init_projector_params,
     project_branch,
+    projector_forward,
 )
 from framescope.projector import ProjectorConfig
 from framescope.selection import frame_scores, top_k_frames
@@ -133,8 +133,12 @@ def test_05_et_proj_structural_checks():
         cfg = ProjectorConfig(ET_PROJ, 6, 5, (4, 4), (2, 2), c_hidden=7)
         params = init_projector_params(cfg, 9)  # posenc starts at zero
         x = rng.standard_normal((1, 16, 6)).astype(np.float32)
-        out = et_proj_forward(x, cfg, params)
-        y = ffn_forward(x, params.ffn1, params.ffn2)
+        out = projector_forward(x, cfg, params)
+        y = ffn_forward(
+            x,
+            LinearParams(params["ffn1.weight"], params["ffn1.bias"]),
+            LinearParams(params["ffn2.weight"], params["ffn2.bias"]),
+        )
         pooled = adaptive_avg_pool2d(y[0].reshape(4, 4, 5).transpose(2, 0, 1), 2, 2)
         assert np.array_equal(out[0], pooled.transpose(1, 2, 0).reshape(4, 5))
         # adaptive pooling against the brute-force region oracle at 14x14 -> 12x12

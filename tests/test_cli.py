@@ -242,6 +242,25 @@ class TestRun:
     def test_non_finite_features_fail_on_read(self, capsys, nan_file):
         parse_error(capsys, "run", "--features", str(nan_file), error_type="NonFiniteValueError")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: {**d, "frames": "abc"},
+            lambda d: {**d, "image_encoder": {**d["image_encoder"], "grid": [14]}},
+            lambda d: {**d, "frames": None},
+            lambda d: {**d, "image_projector": "x"},
+            lambda d: [d],
+        ],
+        ids=["text_frames", "short_grid", "null_frames", "projector_string", "top_level_list"],
+    )
+    def test_invalid_config_value_fails_with_json_error(self, capsys, tmp_path, edit):
+        from framescope.pipeline import make_config
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(make_config(frames=4).to_dict())))
+        message = parse_error(capsys, "budget", "--config", str(path))
+        assert str(path) in message
+
     def test_reports_are_byte_identical_across_calls(self, capsys, feature_file):
         for argv in (["budget"], ["flops", "--branch", "video"],
                      ["select", str(feature_file), "-K", "2"]):

@@ -258,7 +258,7 @@ class TestBranchParamsCache:
         cfg = small_config(seed=45, projector_kind=kind)
         run_pipeline(cfg)
         params = pipeline._branch_params(cfg.image_projector, pipeline._branch_seed(cfg.seed, 1))
-        arrays = list(pipeline.role_tensors(cfg.image_projector, params).values())
+        arrays = list(params.values())
         assert len(arrays) == (6 if kind == "et_proj" else 4)
         for array in arrays:
             with pytest.raises(ValueError):

@@ -15,19 +15,25 @@ from framescope.features import (
     synth_video_features,
     write_features,
 )
-from framescope.numerics import adaptive_avg_pool2d, ffn_forward
+from framescope.numerics import LinearParams, adaptive_avg_pool2d, ffn_forward
 from framescope.pipeline import default_config
 from framescope.projector import (
     ET_PROJ,
     MLP_PROJ,
     ProjectorConfig,
-    et_proj_forward,
     init_projector_params,
     load_projector,
-    mlp_proj_forward,
     project_branch,
+    projector_backward,
+    projector_forward,
+    role_shapes,
     save_projector,
 )
+
+
+def layer(params, name):
+    """The linear layer ``name`` ("ffn1", "mlp0", ...) of a role mapping."""
+    return LinearParams(params[f"{name}.weight"], params[f"{name}.bias"])
 
 
 def mlp_oracle(x, p1, p2):
@@ -59,7 +65,7 @@ class TestEtProj:
         cfg = et_cfg()
         params = init_projector_params(cfg, 0)
         x = synth_image_features(0, 1, EncoderSpec("synthetic-image", (14, 14), 768))
-        out = et_proj_forward(x.tensor.reshape(1, 196, 768), cfg, params)
+        out = projector_forward(x.tensor.reshape(1, 196, 768), cfg, params)
         assert out.shape == (1, 144, 64)
 
     def test_zero_posenc_is_pool_of_ffn(self):
@@ -68,8 +74,8 @@ class TestEtProj:
         params = init_projector_params(cfg, 3)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 16, 6)).astype(np.float32)
-        out = et_proj_forward(x, cfg, params)
-        y = ffn_forward(x, params.ffn1, params.ffn2)
+        out = projector_forward(x, cfg, params)
+        y = ffn_forward(x, layer(params, "ffn1"), layer(params, "ffn2"))
         expected = np.stack(
             [
                 adaptive_avg_pool2d(y[i].reshape(4, 4, 5).transpose(2, 0, 1), 2, 2)
@@ -86,11 +92,11 @@ class TestEtProj:
         cfg = et_cfg(c_in=3, c_out=4, grid_in=(6, 6), grid_out=(3, 3))
         params = init_projector_params(cfg, 1)
         x = np.full((1, 36, 3), 0.37, dtype=np.float32)
-        out = et_proj_forward(x, cfg, params)
+        out = projector_forward(x, cfg, params)
         assert np.array_equal(out[0], np.broadcast_to(out[0, 0], out[0].shape))
 
         cfg2 = et_cfg(c_in=3, c_out=4, grid_in=(5, 5), grid_out=(3, 3))
-        out2 = et_proj_forward(
+        out2 = projector_forward(
             np.full((1, 25, 3), 0.37, dtype=np.float32), cfg2, init_projector_params(cfg2, 1)
         )
         assert np.allclose(out2[0], out2[0, 0], rtol=1e-6, atol=0)
@@ -115,7 +121,7 @@ class TestEtProj:
         cfg = et_cfg(c_in=3, c_out=2, grid_in=(4, 4), grid_out=(2, 2))
         params = init_projector_params(cfg, 0)
         with pytest.raises(ShapeError):
-            et_proj_forward(np.zeros((1, 15, 3), dtype=np.float32), cfg, params)
+            projector_forward(np.zeros((1, 15, 3), dtype=np.float32), cfg, params)
 
     def test_upsampling_config_rejected(self):
         with pytest.raises(ArgumentError):
@@ -127,15 +133,15 @@ class TestMlpProj:
         cfg = mlp_cfg()
         params = init_projector_params(cfg, 0)
         x = synth_image_features(1, 1, EncoderSpec("synthetic-image", (14, 14), 768))
-        out = mlp_proj_forward(x.tensor.reshape(1, 196, 768), cfg, params)
+        out = projector_forward(x.tensor.reshape(1, 196, 768), cfg, params)
         assert out.shape == (1, 196, 64)
 
     def test_zero_params_zero_output(self):
         cfg = mlp_cfg(c_in=3, c_out=2, grid=(2, 2), c_hidden=4)
         params = init_projector_params(cfg, 0)
-        params.mlp[0].weight[:] = 0.0
-        params.mlp[1].weight[:] = 0.0
-        out = mlp_proj_forward(np.ones((1, 4, 3), dtype=np.float32), cfg, params)
+        params["mlp0.weight"][:] = 0.0
+        params["mlp1.weight"][:] = 0.0
+        out = projector_forward(np.ones((1, 4, 3), dtype=np.float32), cfg, params)
         assert np.array_equal(out, np.zeros((1, 4, 2)))
 
     def test_matches_per_token_oracle(self):
@@ -143,12 +149,40 @@ class TestMlpProj:
         params = init_projector_params(cfg, 7)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 4, 3)).astype(np.float32)
-        out = mlp_proj_forward(x, cfg, params)
-        assert np.allclose(out, mlp_oracle(x, params.mlp[0], params.mlp[1]), atol=1e-6)
+        out = projector_forward(x, cfg, params)
+        assert np.allclose(out, mlp_oracle(x, layer(params, "mlp0"), layer(params, "mlp1")), atol=1e-6)
 
     def test_grid_reduction_rejected(self):
         with pytest.raises(ArgumentError):
             ProjectorConfig(MLP_PROJ, 8, 4, (4, 4), (2, 2))
+
+
+class TestRoleMapping:
+    @pytest.mark.parametrize("kind", [ET_PROJ, MLP_PROJ])
+    def test_init_and_backward_follow_role_order(self, kind):
+        """Fresh params and their gradients carry every role, in file order, at its shape."""
+        if kind == ET_PROJ:
+            cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2), c_hidden=6)
+            roles = ["ffn1.weight", "ffn1.bias", "ffn2.weight", "ffn2.bias", "posenc.kernel", "posenc.bias"]
+        else:
+            cfg = mlp_cfg(c_in=5, c_out=4, grid=(3, 3), c_hidden=6)
+            roles = ["mlp0.weight", "mlp0.bias", "mlp1.weight", "mlp1.bias"]
+        shapes = role_shapes(cfg)
+        assert list(shapes) == roles
+        params = init_projector_params(cfg, 2)
+        assert {role: a.shape for role, a in params.items()} == shapes
+        x = np.random.default_rng(2).standard_normal((2, 9, 5)).astype(np.float32)
+        y = projector_forward(x, cfg, params)
+        dx, grads = projector_backward(x, cfg, params, 2.0 * y)
+        assert dx.shape == x.shape
+        assert {role: a.shape for role, a in grads.items()} == shapes
+        assert list(grads) == roles
+
+    def test_backward_rejects_mis_shaped_gradient(self):
+        cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2))
+        x = np.zeros((1, 9, 5), dtype=np.float32)
+        with pytest.raises(ShapeError, match="upstream gradient"):
+            projector_backward(x, cfg, init_projector_params(cfg, 0), np.zeros((1, 9, 4)))
 
 
 class TestProjectBranch:
@@ -172,7 +206,7 @@ class TestProjectBranch:
         params = init_projector_params(cfg, 5)
         feats = synth_image_features(5, 1, EncoderSpec("e", (3, 3), 4))
         seq = project_branch(feats, cfg, params, "image")
-        direct = et_proj_forward(feats.tensor.reshape(1, 9, 4), cfg, params)
+        direct = projector_forward(feats.tensor.reshape(1, 9, 4), cfg, params)
         assert np.array_equal(seq.tokens, direct)
 
     def test_frame_independence(self):
@@ -182,7 +216,7 @@ class TestProjectBranch:
         feats = synth_image_features(6, 5, EncoderSpec("e", (3, 3), 4))
         seq = project_branch(feats, cfg, params, "image")
         blocks = [
-            et_proj_forward(feats.tensor[f].reshape(1, 9, 4), cfg, params) for f in range(5)
+            projector_forward(feats.tensor[f].reshape(1, 9, 4), cfg, params) for f in range(5)
         ]
         assert np.array_equal(seq.tokens, np.concatenate(blocks, axis=1))
 
@@ -217,28 +251,28 @@ class TestParamsInit:
         cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2))
         a = init_projector_params(cfg, 42)
         b = init_projector_params(cfg, 42)
-        assert np.array_equal(a.ffn1.weight, b.ffn1.weight)
-        assert np.array_equal(a.ffn2.weight, b.ffn2.weight)
+        assert np.array_equal(a["ffn1.weight"], b["ffn1.weight"])
+        assert np.array_equal(a["ffn2.weight"], b["ffn2.weight"])
 
     def test_posenc_starts_at_zero(self):
         cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2))
         p = init_projector_params(cfg, 0)
-        assert not p.posenc.kernel.any()
-        assert not p.posenc.bias.any()
+        assert not p["posenc.kernel"].any()
+        assert not p["posenc.bias"].any()
 
     def test_weight_scale_tracks_fan_in(self):
         cfg = et_cfg(c_in=400, c_out=4, grid_in=(2, 2), grid_out=(1, 1), c_hidden=100)
         p = init_projector_params(cfg, 0)
-        assert np.abs(p.ffn1.weight).max() <= 1.0 / 20.0
-        assert np.abs(p.ffn2.weight).max() <= 1.0 / 10.0
+        assert np.abs(p["ffn1.weight"]).max() <= 1.0 / 20.0
+        assert np.abs(p["ffn2.weight"]).max() <= 1.0 / 10.0
 
     @pytest.mark.parametrize("kind", [ET_PROJ, MLP_PROJ])
     def test_fresh_arrays_are_writable_and_distinct(self, kind):
         cfg = et_cfg(c_in=5, c_out=4, grid_in=(3, 3), grid_out=(2, 2))
         if kind == MLP_PROJ:
             cfg = mlp_cfg(c_in=5, c_out=4, grid=(3, 3))
-        a = projector.role_tensors(cfg, init_projector_params(cfg, 42))
-        b = projector.role_tensors(cfg, init_projector_params(cfg, 42))
+        a = init_projector_params(cfg, 42)
+        b = init_projector_params(cfg, 42)
         for role in a:
             assert a[role].flags.writeable and b[role].flags.writeable, role
             assert not np.shares_memory(a[role], b[role]), role
@@ -260,9 +294,9 @@ class TestParamsInit:
 
     def test_hidden_defaults_to_c_out(self):
         cfg = et_cfg(c_in=5, c_out=4, grid_in=(2, 2), grid_out=(1, 1))
-        assert cfg.hidden == 4
+        assert cfg.c_hidden == 4
         p = init_projector_params(cfg, 0)
-        assert p.ffn1.weight.shape == (5, 4)
+        assert p["ffn1.weight"].shape == (5, 4)
 
 
 class TestPersistence:
@@ -278,14 +312,7 @@ class TestPersistence:
         assert cfg2 == cfg
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 9, 5)).astype(np.float32)
-        if kind == ET_PROJ:
-            assert np.array_equal(
-                et_proj_forward(x, cfg, params), et_proj_forward(x, cfg2, params2)
-            )
-        else:
-            assert np.array_equal(
-                mlp_proj_forward(x, cfg, params), mlp_proj_forward(x, cfg2, params2)
-            )
+        assert np.array_equal(projector_forward(x, cfg, params), projector_forward(x, cfg2, params2))
 
 
 class TestLoadValidation:
@@ -317,6 +344,23 @@ class TestLoadValidation:
         self.edit_manifest(saved, lambda m: m["config"].pop("c_in"))
         with pytest.raises(ArgumentError, match="c_in"):
             load_projector(saved)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid_in", [3]), ("c_in", "x"), ("c_hidden", [6]), ("kind", "conv"), (None, [1])],
+        ids=["short_grid", "text_width", "list_width", "unknown_kind", "config_list"],
+    )
+    def test_invalid_config_named_with_the_file(self, saved, key, value):
+        def edit(m):
+            if key is None:
+                m["config"] = value
+            else:
+                m["config"][key] = value
+
+        self.edit_manifest(saved, edit)
+        with pytest.raises(ArgumentError, match="manifest.json") as info:
+            load_projector(saved)
+        assert type(info.value) is ArgumentError
 
     def test_consistently_mis_shaped_tensors_rejected(self, saved):
         """ffn1 hidden 5 against a config hidden of 6: every layer agrees with its
