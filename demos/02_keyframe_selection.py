@@ -1,8 +1,9 @@
 """Attention-based frame scoring and top-K key-frame selection.
 
 Every token attends over all tokens of all frames; a frame's importance is
-the attention mass its tokens receive.  The streaming scorer reproduces
-the dense matrix result without materializing S x S.
+the attention mass its tokens receive.  The scorer streams over row blocks
+and reproduces the column sums of the dense attention matrix without
+materializing S x S.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from framescope import (
     EncoderSpec,
     frame_scores,
+    spatial_attention,
     synth_image_features,
     top_k_frames,
     uniform_sample_indices,
@@ -20,7 +22,7 @@ print("uniform sampling 60 -> 16:", uniform_sample_indices(60, 16))
 
 # Score 16 synthetic frames (14x14 grid, depth 768 -> S = 3136 tokens).
 feats = synth_image_features(seed=7, frames=16, spec=EncoderSpec("img", (14, 14), 768))
-scores = frame_scores(feats, method="streaming")
+scores = frame_scores(feats)
 print("\nframe scores (attention mass received):")
 for t, s in enumerate(scores.scores):
     bar = "#" * int(40 * (s - scores.scores.min()) / (np.ptp(scores.scores) + 1e-9))
@@ -34,8 +36,8 @@ print(f"\ntotal mass {scores.total_mass:.6f} vs token count {s_total}")
 keyframes = top_k_frames(scores, 8)
 print("selected key-frames:", keyframes.indices)
 
-# The dense reference path agrees with the streaming path.
+# The streaming scores equal the per-frame column sums of the dense S x S matrix.
 small = synth_image_features(seed=3, frames=8, spec=EncoderSpec("img", (8, 8), 32))
-dense = frame_scores(small, method="dense").scores
-stream = frame_scores(small, method="streaming").scores
+dense = spatial_attention(small).sum(axis=0).reshape(8, 64).sum(axis=1)
+stream = frame_scores(small).scores
 print("\nstreaming vs dense max abs diff:", float(np.max(np.abs(dense - stream))))

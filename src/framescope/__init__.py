@@ -9,7 +9,6 @@ pipeline -- all numpy, all reproducible bit-for-bit.
 from .errors import (
     ArgumentError,
     BadMagicError,
-    CapacityError,
     DimensionOverflowError,
     FormatError,
     FrameScopeError,

@@ -158,7 +158,7 @@ def _cmd_synth(args) -> int:
 def _cmd_select(args) -> int:
     feats = FrameFeatures(read_features(args.features))
     k = args.keyframes if args.keyframes is not None else max(1, feats.frames // 2)
-    scores = frame_scores(feats, method="streaming")
+    scores = frame_scores(feats)
     keyframes = top_k_frames(scores, k)
     _emit(
         {

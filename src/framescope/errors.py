@@ -18,10 +18,6 @@ class ArgumentError(FrameScopeError, ValueError):
     """A scalar argument is out of its documented range."""
 
 
-class CapacityError(FrameScopeError, RuntimeError):
-    """A dense intermediate would exceed the configured memory cap."""
-
-
 class UnsupportedUpsampleError(FrameScopeError, ValueError):
     """Adaptive pooling was asked to produce a larger grid than its input."""
 

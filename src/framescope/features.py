@@ -95,6 +95,19 @@ def stream_values(key: int, n: int, scale: float = 1.0) -> np.ndarray:
 # Feature containers
 # ---------------------------------------------------------------------------
 
+def json_int(value, key: str) -> int:
+    """The integer JSON field ``key``: an int, or an integral float such as ``16.0``.
+
+    Raises ArgumentError naming ``key`` for a bool, a string, a fraction, a
+    non-finite number or any other value.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ArgumentError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
     """Geometry of one encoder stand-in."""
@@ -127,9 +140,9 @@ class EncoderSpec:
     def from_dict(d: dict) -> "EncoderSpec":
         return EncoderSpec(
             name=d["name"],
-            grid=(int(d["grid"][0]), int(d["grid"][1])),
-            depth=int(d["depth"]),
-            input_resolution=int(d.get("input_resolution", 224)),
+            grid=(json_int(d["grid"][0], "grid"), json_int(d["grid"][1], "grid")),
+            depth=json_int(d["depth"], "depth"),
+            input_resolution=json_int(d.get("input_resolution", 224), "input_resolution"),
         )
 
 

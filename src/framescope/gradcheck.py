@@ -17,15 +17,13 @@ from .errors import ArgumentError
 DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-4
 
-CHECKED_OPS = ("matmul", "linear", "ffn", "pool", "conv", "et_proj", "mlp_proj")
-
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(1e-12, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def numerical_grad(loss_fn, arrays: list[np.ndarray], h: float = DEFAULT_H) -> list[np.ndarray]:
+def numerical_grad(loss_fn, arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Central-difference gradient of loss_fn w.r.t. each array, elementwise.
 
     Arrays are perturbed in place and restored; loss_fn takes no arguments
@@ -38,12 +36,12 @@ def numerical_grad(loss_fn, arrays: list[np.ndarray], h: float = DEFAULT_H) -> l
         gflat = g.reshape(-1)
         for i in range(flat.size):
             old = flat[i]
-            flat[i] = old + h
+            flat[i] = old + DEFAULT_H
             lp = loss_fn()
-            flat[i] = old - h
+            flat[i] = old - DEFAULT_H
             lm = loss_fn()
             flat[i] = old
-            gflat[i] = (lp - lm) / (2.0 * h)
+            gflat[i] = (lp - lm) / (2.0 * DEFAULT_H)
         grads.append(g)
     return grads
 
@@ -165,10 +163,10 @@ _CASES = {
     "mlp_proj": lambda rng: _projector_case(rng, projector.MLP_PROJ),
 }
 
+CHECKED_OPS = tuple(_CASES)
 
-def check_op(
-    op: str, seeds: int = 10, h: float = DEFAULT_H, tol: float = DEFAULT_TOL, fault: bool = False
-) -> dict:
+
+def check_op(op: str, seeds: int = 10, fault: bool = False) -> dict:
     """Run one op's gradient check over several seeds; returns a result row.
 
     ``fault=True`` perturbs the analytic gradients (negative control: the
@@ -185,21 +183,17 @@ def check_op(
         ana = analytic()
         if fault:
             ana = [a + 0.05 * (np.abs(a) + 1.0) for a in ana]
-        num = numerical_grad(loss, arrays, h=h)
+        num = numerical_grad(loss, arrays)
         for a, n in zip(ana, num):
             worst = max(worst, relative_error(a, n))
-    return {"op": op, "trials": seeds, "max_rel_err": worst, "passed": bool(worst < tol)}
+    return {"op": op, "trials": seeds, "max_rel_err": worst, "passed": bool(worst < DEFAULT_TOL)}
 
 
 def run_gradient_checks(
-    seeds: int = 10,
-    ops: "list[str] | None" = None,
-    h: float = DEFAULT_H,
-    tol: float = DEFAULT_TOL,
-    fault_op: str | None = None,
+    seeds: int = 10, ops: "list[str] | None" = None, fault_op: str | None = None
 ) -> list[dict]:
     """Gradient-check every op (or the given subset); one result row per op."""
     rows = []
     for op in ops or CHECKED_OPS:
-        rows.append(check_op(op, seeds=seeds, h=h, tol=tol, fault=(op == fault_op)))
+        rows.append(check_op(op, seeds=seeds, fault=(op == fault_op)))
     return rows

@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .features import (
-    DEFAULT_IMAGE_SPEC,
-    DEFAULT_VIDEO_SPEC,
     EncoderSpec,
     FrameFeatures,
+    json_int,
     read_features,
     splitmix64,
     synth_image_features,
@@ -151,12 +150,12 @@ class PipelineConfig:
         if schema != CONFIG_SCHEMA:
             raise ArgumentError(f"unsupported config schema {schema!r}")
         return PipelineConfig(
-            frames=int(d["frames"]),
-            keyframes=int(d["keyframes"]),
+            frames=json_int(d["frames"], "frames"),
+            keyframes=json_int(d["keyframes"], "keyframes"),
             frame_selection=d["frame_selection"],
             projector_kind=d["projector_kind"],
             branch_mode=d["branch_mode"],
-            seed=int(d["seed"]),
+            seed=json_int(d["seed"], "seed"),
             image_encoder=EncoderSpec.from_dict(d["image_encoder"]),
             video_encoder=EncoderSpec.from_dict(d["video_encoder"]),
             image_projector=ProjectorConfig.from_dict(d["image_projector"]),
@@ -291,10 +290,10 @@ def mac_report(cfg: PipelineConfig) -> MacReport:
     """Analytic multiply counts; exact integers, equal to the instrumented kernels.
 
     scoring: S^2 * D_f attention-logit multiplies over S = T * H * W image
-    tokens (identical for the dense and streaming scorers; softmax
-    exponentials and the 1/sqrt(D_f) scaling are not modeled).  Projection
-    stages follow ``ProjectorConfig.macs_per_frame``; fusion is pure
-    concatenation and costs nothing.
+    tokens, as ``frame_scores`` computes them (softmax exponentials and
+    the 1/sqrt(D_f) scaling are not modeled).  Projection stages follow
+    ``ProjectorConfig.macs_per_frame``; fusion is pure concatenation and
+    costs nothing.
     """
     s = cfg.frames * cfg.image_encoder.tokens_per_frame
     scoring = s * s * cfg.image_encoder.depth if cfg.scoring_active else 0
@@ -508,7 +507,7 @@ def run_pipeline(cfg: PipelineConfig, source=None) -> PipelineResult:
 
     scores: FrameScore | None = None
     if cfg.scoring_active:
-        scores = frame_scores(image_feats, method="streaming")
+        scores = frame_scores(image_feats)
         keyframes = top_k_frames(scores, cfg.keyframes)
     elif cfg.has_video_branch:
         keyframes = KeyFrameSet(tuple(range(cfg.frames)))

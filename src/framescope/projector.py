@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .features import (
     FrameFeatures,
+    json_int,
     read_features,
     splitmix64,
     stream_values,
@@ -115,11 +116,11 @@ class ProjectorConfig:
     def from_dict(d: dict) -> "ProjectorConfig":
         return ProjectorConfig(
             kind=d["kind"],
-            c_in=int(d["c_in"]),
-            c_out=int(d["c_out"]),
-            grid_in=(int(d["grid_in"][0]), int(d["grid_in"][1])),
-            grid_out=(int(d["grid_out"][0]), int(d["grid_out"][1])),
-            c_hidden=int(d["c_hidden"]) if d.get("c_hidden") is not None else None,
+            c_in=json_int(d["c_in"], "c_in"),
+            c_out=json_int(d["c_out"], "c_out"),
+            grid_in=(json_int(d["grid_in"][0], "grid_in"), json_int(d["grid_in"][1], "grid_in")),
+            grid_out=(json_int(d["grid_out"][0], "grid_out"), json_int(d["grid_out"][1], "grid_out")),
+            c_hidden=json_int(d["c_hidden"], "c_hidden") if d.get("c_hidden") is not None else None,
         )
 
 

@@ -6,13 +6,9 @@ the attention each token *receives* (column sums).  A frame's score is the
 total received attention of its tokens.  Each attending token distributes
 exactly one unit of mass, so the scores sum to S.
 
-One blocked loop serves both scoring methods:
-
-* ``dense`` takes all S rows as one block (bounded by a memory cap,
-  FRAMESCOPE_MEM_CAP_MB; ``spatial_attention`` returns the full S x S
-  matrix under the same cap).
-* ``streaming`` accumulates column sums over fixed 256-row blocks, in
-  block order, without ever holding S x S.
+One streaming scorer accumulates column sums over fixed 256-row blocks,
+in block order, without ever holding S x S (``spatial_attention`` returns
+the full S x S matrix for callers that want it).
 
 Attention logits and their exponentials are computed in the feature
 dtype, in place in one buffer per block; row sums, normalisation and the
@@ -23,17 +19,13 @@ even at realistic S.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError
+from .errors import ArgumentError
 from .features import FrameFeatures
 from .numerics import matmul, softmax_rows
-
-DEFAULT_MEM_CAP_MB = 4096
-MEM_CAP_ENV = "FRAMESCOPE_MEM_CAP_MB"
 
 _STREAM_BLOCK_ROWS = 256
 
@@ -98,77 +90,35 @@ def _flat_tokens(features: FrameFeatures | np.ndarray) -> tuple[np.ndarray, int,
     return tensor.reshape(t * h * w, d), t, h * w
 
 
-def _check_dense_capacity(s: int, mem_cap_mb: int | None) -> None:
-    """Raise CapacityError when an S x S float64 matrix would exceed the memory cap.
-
-    The cap is ``mem_cap_mb``, else FRAMESCOPE_MEM_CAP_MB, else 4096 MB; a
-    cap that is not a non-negative integer raises ArgumentError naming its
-    source.
-    """
-    if mem_cap_mb is None:
-        raw = os.environ.get(MEM_CAP_ENV, str(DEFAULT_MEM_CAP_MB))
-        bad = ArgumentError(f"{MEM_CAP_ENV} must be a non-negative integer, got {raw!r}")
-        try:
-            mem_cap_mb = int(raw)
-        except ValueError:
-            raise bad from None
-        if mem_cap_mb < 0:
-            raise bad
-    elif mem_cap_mb < 0:
-        raise ArgumentError(f"mem_cap_mb must be non-negative, got {mem_cap_mb}")
-    if s * s * 8 > mem_cap_mb * 1024 * 1024:
-        raise CapacityError(
-            f"dense attention needs {s}x{s} float64 "
-            f"({s * s * 8 // (1024 * 1024)} MB) which exceeds the memory cap; "
-            f"use frame_scores(..., method='streaming')"
-        )
-
-
-def spatial_attention(
-    features: FrameFeatures | np.ndarray, mem_cap_mb: int | None = None
-) -> np.ndarray:
+def spatial_attention(features: FrameFeatures | np.ndarray) -> np.ndarray:
     """Dense token-token attention matrix, shape (S, S), float64.
 
     ``softmax_rows(F_flat @ F_flat.T / sqrt(D_f))``; every row sums to 1.
-    Raises CapacityError when S x S would exceed the memory cap (set
-    ``mem_cap_mb`` or the FRAMESCOPE_MEM_CAP_MB environment variable); the
-    streaming scorer has no such limit.
+    Allocates S x S float64 (78.7 MB at S = 3136); past what numpy can
+    allocate, numpy's own MemoryError names the size.  ``frame_scores``
+    never holds S x S.
     """
     flat, _, _ = _flat_tokens(features)
-    s, d = flat.shape
-    _check_dense_capacity(s, mem_cap_mb)
+    d = flat.shape[1]
     logits = matmul(flat, flat.T).astype(np.float64) / math.sqrt(d)
     return softmax_rows(logits)
 
 
-def frame_scores(
-    features: FrameFeatures | np.ndarray,
-    method: str = "streaming",
-    mem_cap_mb: int | None = None,
-) -> FrameScore:
-    """Attention mass received per frame; dense and streaming paths agree to 1e-5.
+def frame_scores(features: FrameFeatures | np.ndarray) -> FrameScore:
+    """Attention mass received per frame: the per-frame column sums of ``spatial_attention``.
 
-    ``method='dense'`` scores all S rows as one block (capacity limited
-    like ``spatial_attention``); ``'streaming'`` walks fixed 256-row blocks
-    and never allocates S x S.  Each block's exponentials are computed in
-    place in the feature dtype; row sums, normalisation and column sums
-    run in float64.
+    Walks fixed 256-row blocks and never allocates S x S.  Each block's
+    exponentials are computed in place in the feature dtype; row sums,
+    normalisation and column sums run in float64.
     """
     flat, t, tokens_per_frame = _flat_tokens(features)
     s, d = flat.shape
-    if method == "dense":
-        _check_dense_capacity(s, mem_cap_mb)
-        block = max(s, 1)
-    elif method == "streaming":
-        block = _STREAM_BLOCK_ROWS
-    else:
-        raise ArgumentError(f"unknown scoring method {method!r}")
     if flat.dtype.kind != "f":
         flat = flat.astype(np.float64)
     scale = flat.dtype.type(1.0 / math.sqrt(d))
     received = np.zeros(s, dtype=np.float64)
-    for a in range(0, s, block):
-        e = matmul(flat[a : a + block], flat.T)
+    for a in range(0, s, _STREAM_BLOCK_ROWS):
+        e = matmul(flat[a : a + _STREAM_BLOCK_ROWS], flat.T)
         e -= e.max(axis=1, keepdims=True)
         e *= scale
         np.exp(e, out=e)

@@ -41,7 +41,7 @@ from framescope.projector import (
     projector_forward,
 )
 from framescope.projector import ProjectorConfig
-from framescope.selection import frame_scores, top_k_frames
+from framescope.selection import frame_scores, spatial_attention, top_k_frames
 
 
 @contextmanager
@@ -91,8 +91,8 @@ def test_03_scoring_correctness():
             g = int(rng.integers(1, 9))
             d = int(rng.integers(1, 33))
             feats = synth_image_features(trial, t, EncoderSpec("synthetic-image", (g, g), d))
-            dense = frame_scores(feats, method="dense").scores
-            stream = frame_scores(feats, method="streaming").scores
+            dense = spatial_attention(feats).sum(axis=0).reshape(t, g * g).sum(axis=1)
+            stream = frame_scores(feats).scores
             assert np.max(np.abs(dense - stream)) < 1e-5
             s = t * g * g
             assert abs(stream.sum() - s) < 1e-4
@@ -107,8 +107,8 @@ def test_04_permutation_equivariance():
             feats = synth_image_features(trial, t, EncoderSpec("synthetic-image", (3, 3), 8))
             perm = rng.permutation(t)
             permuted = FrameFeatures(feats.tensor[perm])
-            base = frame_scores(feats, method="dense")
-            moved = frame_scores(permuted, method="dense")
+            base = frame_scores(feats)
+            moved = frame_scores(permuted)
             assert np.max(np.abs(moved.scores - base.scores[perm])) < 1e-6
             k = max(1, t // 2)
             kf_base = set(top_k_frames(base, k).indices)

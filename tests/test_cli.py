@@ -261,6 +261,42 @@ class TestRun:
         message = parse_error(capsys, "budget", "--config", str(path))
         assert str(path) in message
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (["frames"], 2.7),
+            (["frames"], True),
+            (["keyframes"], 1.5),
+            (["seed"], "3"),
+            (["seed"], 1e999),
+            (["image_encoder", "depth"], 1e999),
+            (["video_projector", "c_hidden"], 8.5),
+        ],
+        ids=["fractional_frames", "bool_frames", "fractional_keyframes", "text_seed",
+             "infinite_seed", "infinite_depth", "fractional_hidden"],
+    )
+    def test_non_integer_value_fails_with_json_error(self, capsys, tmp_path, keys, value):
+        from framescope.pipeline import make_config
+
+        d = make_config(frames=4).to_dict()
+        section = d[keys[0]] if len(keys) == 2 else d
+        section[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        # json.dumps writes 1e999 (inf) as Infinity; the plain JSON number 1e999 parses to inf
+        path.write_text(json.dumps(d).replace("Infinity", "1e999"))
+        message = parse_error(capsys, "budget", "--config", str(path))
+        assert str(path) in message and f"{keys[-1]} must be an integer" in message
+
+    def test_integral_float_is_read_as_integer(self, capsys, tmp_path):
+        from framescope.pipeline import make_config
+
+        d = make_config(frames=4).to_dict()
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({**d, "frames": 4.0, "keyframes": 2.0}))
+        assert parse_report(capsys, "budget", "--config", str(path)) == parse_report(
+            capsys, "budget", "--frames", "4"
+        )
+
     def test_reports_are_byte_identical_across_calls(self, capsys, feature_file):
         for argv in (["budget"], ["flops", "--branch", "video"],
                      ["select", str(feature_file), "-K", "2"]):

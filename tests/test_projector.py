@@ -362,6 +362,28 @@ class TestLoadValidation:
             load_projector(saved)
         assert type(info.value) is ArgumentError
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("c_in", 5.5),
+            ("c_in", float("inf")),
+            ("c_out", "4"),
+            ("c_hidden", True),
+            ("grid_out", [2, 2.5]),
+        ],
+        ids=["fractional_width", "infinite_width", "text_width", "bool_hidden", "fractional_grid"],
+    )
+    def test_non_integer_config_value_named(self, saved, key, value):
+        self.edit_manifest(saved, lambda m: m["config"].update({key: value}))
+        with pytest.raises(ArgumentError, match="manifest.json") as info:
+            load_projector(saved)
+        assert type(info.value) is ArgumentError and f"{key} must be an integer" in str(info.value)
+
+    def test_integral_float_config_value_loads(self, saved):
+        cfg, _ = load_projector(saved)
+        self.edit_manifest(saved, lambda m: m["config"].update(c_in=5.0, grid_out=[2.0, 2]))
+        assert load_projector(saved)[0] == cfg
+
     def test_consistently_mis_shaped_tensors_rejected(self, saved):
         """ffn1 hidden 5 against a config hidden of 6: every layer agrees with its
         neighbour, so only a check against the config catches it."""

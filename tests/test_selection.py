@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framescope.errors import ArgumentError, CapacityError
+from framescope.errors import ArgumentError
 from framescope.features import EncoderSpec, FrameFeatures, synth_image_features
 from framescope.selection import (
     FrameScore,
@@ -93,53 +93,19 @@ class TestSpatialAttention:
         sa = spatial_attention(feats)
         assert np.allclose(sa.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_capacity_error_advises_streaming(self):
-        feats = synth_image_features(0, 2, EncoderSpec("synthetic-image", (4, 4), 4))
-        with pytest.raises(CapacityError, match="streaming"):
-            spatial_attention(feats, mem_cap_mb=0)
-
-    def test_capacity_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("FRAMESCOPE_MEM_CAP_MB", "0")
-        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
-        with pytest.raises(CapacityError):
-            spatial_attention(feats)
-
-    def test_non_integer_cap_in_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("FRAMESCOPE_MEM_CAP_MB", "abc")
-        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
-        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
-            spatial_attention(feats)
-        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
-            frame_scores(feats, method="dense")
-
-    def test_negative_cap_in_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("FRAMESCOPE_MEM_CAP_MB", "-1")
-        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
-        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
-            spatial_attention(feats)
-        with pytest.raises(ArgumentError, match="FRAMESCOPE_MEM_CAP_MB"):
-            frame_scores(feats, method="dense")
-
-    def test_negative_cap_argument_rejected(self):
-        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 4))
-        with pytest.raises(ArgumentError, match="mem_cap_mb"):
-            spatial_attention(feats, mem_cap_mb=-1)
-        with pytest.raises(ArgumentError, match="mem_cap_mb"):
-            frame_scores(feats, method="dense", mem_cap_mb=-1)
-
 
 class TestFrameScores:
     def test_identical_frames_share_mass_equally(self):
         one = synth_image_features(4, 1, EncoderSpec("synthetic-image", (2, 2), 3))
         stacked = FrameFeatures(np.repeat(one.tensor, 4, axis=0))
-        fs = frame_scores(stacked, method="dense")
+        fs = frame_scores(stacked)
         s = 4 * 4  # total tokens
         assert np.allclose(fs.scores, s / 4, atol=1e-6)
 
     def test_high_norm_token_attracts_attention(self):
         # logits [[0,0],[0,100]]: frame 1 receives 1.5 units, frame 0 only 0.5
         f = features_from_tokens([0.0, 10.0], 2, (1, 1), 1)
-        fs = frame_scores(f, method="dense")
+        fs = frame_scores(f)
         assert fs.scores[1] > fs.scores[0]
         assert fs.scores[0] == pytest.approx(0.5, abs=1e-6)
         assert fs.scores[1] == pytest.approx(1.5, abs=1e-6)
@@ -151,15 +117,15 @@ class TestFrameScores:
             g = int(rng.integers(1, 9))
             d = int(rng.integers(1, 33))
             feats = synth_image_features(trial, t, EncoderSpec("synthetic-image", (g, g), d))
-            dense = frame_scores(feats, method="dense").scores
-            stream = frame_scores(feats, method="streaming").scores
+            dense = score_oracle(feats.tensor)
+            stream = frame_scores(feats).scores
             assert np.max(np.abs(dense - stream)) < 1e-5
 
     def test_streaming_crosses_block_boundaries(self):
         # S = 8 * 8 * 8 = 512 rows -> two 256-row blocks
         feats = synth_image_features(2, 8, EncoderSpec("synthetic-image", (8, 8), 16))
-        dense = frame_scores(feats, method="dense").scores
-        stream = frame_scores(feats, method="streaming").scores
+        dense = score_oracle(feats.tensor)
+        stream = frame_scores(feats).scores
         assert np.max(np.abs(dense - stream)) < 1e-5
 
     @settings(max_examples=40, deadline=None)
@@ -172,18 +138,19 @@ class TestFrameScores:
         scale=st.floats(0.25, 4.0),
     )
     def test_both_methods_match_float64_oracle(self, seed, t, h, w, d, scale):
-        # S = t*h*w reaches 648, so streaming blocks split at 256 and 512
+        # S = t*h*w reaches 648, so the scorer's blocks split at 256 and 512
         tensor = synth_image_features(seed, t, EncoderSpec("synthetic-image", (h, w), d)).tensor
         tensor = tensor * np.float32(scale)
         expected = score_oracle(tensor)
-        for method in ("dense", "streaming"):
-            got = frame_scores(tensor, method=method).scores
-            assert np.max(np.abs(got - expected)) < 1e-5
+        got = frame_scores(tensor).scores
+        columns = spatial_attention(tensor).sum(axis=0).reshape(t, h * w).sum(axis=1)
+        assert np.max(np.abs(got - expected)) < 1e-5
+        assert np.max(np.abs(got - columns)) < 1e-5
 
     def test_realistic_geometry_matches_oracle_and_conserves_mass(self):
         # 16 frames of 14 x 14 tokens at D = 768: S = 3136, thirteen 256-row blocks
         feats = synth_image_features(5, 16, EncoderSpec("synthetic-image", (14, 14), 768))
-        fs = frame_scores(feats, method="streaming")
+        fs = frame_scores(feats)
         assert abs(fs.total_mass - 16 * 196) < 1e-9
         # float32 logits put the error at float32 epsilon relative to each score
         assert np.allclose(fs.scores, score_oracle(feats.tensor), rtol=1e-7, atol=0)
@@ -193,7 +160,7 @@ class TestFrameScores:
         s = 16 * 196
         tracemalloc.start()
         try:
-            frame_scores(feats, method="streaming")
+            frame_scores(feats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -213,24 +180,12 @@ class TestFrameScores:
             feats = synth_image_features(trial, 6, EncoderSpec("synthetic-image", (3, 3), 8))
             perm = rng.permutation(6)
             permuted = FrameFeatures(feats.tensor[perm])
-            base = frame_scores(feats, method="dense").scores
-            moved = frame_scores(permuted, method="dense").scores
+            base = frame_scores(feats).scores
+            moved = frame_scores(permuted).scores
             assert np.max(np.abs(moved - base[perm])) < 1e-6
-            kf_base = set(top_k_frames(frame_scores(feats, method="dense"), 3).indices)
-            kf_moved = top_k_frames(frame_scores(permuted, method="dense"), 3).indices
+            kf_base = set(top_k_frames(frame_scores(feats), 3).indices)
+            kf_moved = top_k_frames(frame_scores(permuted), 3).indices
             assert {int(perm[i]) for i in kf_moved} == kf_base
-
-    def test_unknown_method_rejected(self):
-        feats = synth_image_features(0, 1, EncoderSpec("synthetic-image", (2, 2), 2))
-        with pytest.raises(ArgumentError):
-            frame_scores(feats, method="magic")
-
-    def test_capacity_cap_hits_dense_path_only(self):
-        feats = synth_image_features(0, 2, EncoderSpec("synthetic-image", (4, 4), 4))
-        with pytest.raises(CapacityError):
-            frame_scores(feats, method="dense", mem_cap_mb=0)
-        fs = frame_scores(feats, method="streaming", mem_cap_mb=0)  # no limit
-        assert fs.frames == 2
 
 
 class TestTopK:
