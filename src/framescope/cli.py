@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
+
+import numpy as np
 
 from . import gradcheck as gc
 from .errors import ArgumentError, FrameScopeError
@@ -131,6 +136,35 @@ def _run_report(cfg: PipelineConfig, result) -> dict:
         "macs": result.macs.to_dict(),
         "durations_ms": {k: round(v, 3) for k, v in result.durations_ms.items()},
         "digest": result.digest,
+    }
+
+
+def _git(*argv: str) -> str | None:
+    """Output of a git command run in this package's checkout, or None without one."""
+    try:
+        proc = subprocess.run(
+            ["git", *argv], cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _machine_info() -> dict:
+    """Where a bench ran, after pytest-benchmark's machine_info and commit_info."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy before 1.26 has no dict mode
+        blas = {}
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": None if status is None else status != "",
     }
 
 
@@ -267,16 +301,19 @@ def _cmd_bench(args) -> int:
         }
 
     stages = {name: timing([d[name] for d, _ in runs], macs.get(name, 0)) for name in runs[0][0]}
-    _emit(
-        {
-            "schema": "framescope/bench-report-v1",
-            "repeat": args.repeat,
-            "stages": stages,
-            "total": timing([t for _, t in runs], macs["total"]),
-            "budget": result.budget.to_dict(),
-            "digest": digest,
-        }
-    )
+    report = {
+        "schema": "framescope/bench-report-v1",
+        "repeat": args.repeat,
+        "stages": stages,
+        "total": timing([t for _, t in runs], macs["total"]),
+        "budget": result.budget.to_dict(),
+        "digest": digest,
+    }
+    if args.save:
+        with open(args.save, "w") as f:
+            json.dump({**report, "machine": _machine_info()}, f, indent=2)
+            f.write("\n")
+    _emit(report)
     return 0
 
 
@@ -347,6 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repeat", "-r", type=int, default=3,
         help="timed runs, taken after one untimed warm-up run (default 3)",
+    )
+    p.add_argument(
+        "--save", default=None, metavar="PATH",
+        help="also write the report, plus a machine object, to this JSON file",
     )
     p.set_defaults(handler=_cmd_bench)
 

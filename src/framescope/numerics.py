@@ -17,8 +17,8 @@ report their counts to any active ``count_macs()`` context:
 
 * ``matmul``  (m, k) x (k, n)            -> m * n * k
 * ``linear``  tokens x C_in -> C_out     -> tokens * C_in * C_out
-* ``adaptive_avg_pool2d`` C x Hr x Wr    -> C * Hr * Wr   (one multiply
-  by 1/region_size per output element)
+* ``adaptive_avg_pool2d`` C x Hr x Wr    -> C * Hr * Wr   (one division
+  by the region size per output element)
 * ``depthwise_conv3x3``  C x H x W       -> 9 * C * H * W
 * pool and conv accept leading batch axes; their counts scale with the batch
 
@@ -152,18 +152,24 @@ class ConvParams:
 # Forward kernels
 # ---------------------------------------------------------------------------
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a (m, k) and b (k, n).
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product of a (m, k) and b (k, n), written into ``out`` if given.
 
-    Counts m*n*k multiplies.  Raises ShapeError naming both shapes on an
-    inner-dimension mismatch.
+    Counts m*n*k multiplies whether or not ``out`` is given, and returns
+    ``out`` itself when it is, with the same bits as ``a @ b``.  Raises
+    ShapeError naming both shapes on an inner-dimension mismatch, or
+    naming ``out``'s shape and the product's when they differ.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if out is not None and out.shape != (a.shape[0], b.shape[1]):
+        raise ShapeError(
+            f"matmul out has shape {out.shape}, but the product is {(a.shape[0], b.shape[1])}"
+        )
     _add_macs(a.shape[0] * b.shape[1] * a.shape[1])
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -235,15 +241,29 @@ def ffn_forward(x: np.ndarray, p1: LinearParams, p2: LinearParams) -> np.ndarray
     return linear(gelu(linear(x, p1)), p2)
 
 
-@functools.lru_cache(maxsize=64)
-def _pool_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
-    """(r, n) matrix whose row i averages region [floor(i*n/r), ceil((i+1)*n/r))."""
+def _region_mask(n: int, r: int) -> np.ndarray:
+    """(r, n) boolean mask whose row i marks region [floor(i*n/r), ceil((i+1)*n/r))."""
     if not 1 <= r <= n:
         raise UnsupportedUpsampleError(f"cannot pool an axis of {n} cells to {r}; need 1..{n}")
     i = np.arange(r)[:, None]
     lo, hi = (i * n) // r, -((-(i + 1) * n) // r)
     cols = np.arange(n)
-    m = (((cols >= lo) & (cols < hi)) / (hi - lo)).astype(dtype)
+    return (cols >= lo) & (cols < hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _sum_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
+    """(r, n) 0/1 matrix whose row i sums region i."""
+    m = _region_mask(n, r).astype(dtype)
+    m.setflags(write=False)
+    return m
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
+    """(r, n) matrix whose row i averages region i (the pool's adjoint uses it)."""
+    mask = _region_mask(n, r)
+    m = (mask / mask.sum(axis=1, keepdims=True)).astype(dtype)
     m.setflags(write=False)
     return m
 
@@ -255,20 +275,24 @@ def adaptive_avg_pool2d(x: np.ndarray, hr: int, wr: int) -> np.ndarray:
     ``rows [floor(i*H/hr), ceil((i+1)*H/hr)) x cols [floor(j*W/wr), ceil((j+1)*W/wr))``.
     Regions may overlap when hr does not divide H.  With hr == H and
     wr == W this is the identity; upsampling is not supported.  Computed
-    channel-last with the two averaging matrices: ``P_h`` as one product
-    over (..., H, W*C), then ``P_w`` over (..., hr, W, C).  The result is
-    a channel-last view, so an input already laid out as (..., H, W, C)
-    in memory is read without a copy.
+    channel-last with two 0/1 region matrices: ``S_h`` sums rows as one
+    product over (..., H, W*C), ``S_w`` sums columns over (..., hr, W, C),
+    and each cell is then divided once by its region size, so a subnormal
+    constant pools to itself.  The result is a channel-last view, so an
+    input already laid out as (..., H, W, C) in memory is read without a
+    copy.
     """
     if x.ndim < 3:
         raise ShapeError(f"adaptive_avg_pool2d needs (..., C, H, W), got {x.shape}")
     *batch, c, h, w = x.shape
-    p_h, p_w = _pool_matrix(h, hr, x.dtype), _pool_matrix(w, wr, x.dtype)
+    s_h, s_w = _sum_matrix(h, hr, x.dtype), _sum_matrix(w, wr, x.dtype)
     _add_macs(math.prod(batch) * c * hr * wr)
     # Contiguous operands, so both layouts reach the same BLAS call and bits.
     xl = np.ascontiguousarray(np.moveaxis(x, -3, -1)).reshape(*batch, h, w * c)
-    rows = p_h @ xl
-    return np.moveaxis(p_w @ rows.reshape(*batch, hr, w, c), -1, -3)
+    rows = s_h @ xl
+    out = s_w @ rows.reshape(*batch, hr, w, c)
+    out /= np.outer(s_h.sum(axis=1), s_w.sum(axis=1))[:, :, None]
+    return np.moveaxis(out, -1, -3)
 
 
 # Output and input slices along one axis for tap offset u: output cell i

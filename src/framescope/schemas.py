@@ -183,6 +183,26 @@ _STAGE_TIMING = {
     },
 }
 
+_MACHINE = {
+    "type": "object",
+    "required": ["nproc", "python", "numpy", "blas", "commit", "dirty"],
+    "properties": {
+        "nproc": {"type": ["integer", "null"], "minimum": 1},
+        "python": {"type": "string"},
+        "numpy": {"type": "string"},
+        "blas": {
+            "type": "object",
+            "required": ["name", "version"],
+            "properties": {
+                "name": {"type": ["string", "null"]},
+                "version": {"type": ["string", "null"]},
+            },
+        },
+        "commit": {"type": ["string", "null"]},
+        "dirty": {"type": ["boolean", "null"]},
+    },
+}
+
 BENCH_REPORT = {
     "type": "object",
     "required": ["schema", "repeat", "stages", "total", "budget", "digest"],
@@ -197,6 +217,7 @@ BENCH_REPORT = {
         "total": _STAGE_TIMING,
         "budget": _BUDGET,
         "digest": _DIGEST,
+        "machine": _MACHINE,
     },
 }
 

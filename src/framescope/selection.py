@@ -6,13 +6,17 @@ the attention each token *receives* (column sums).  A frame's score is the
 total received attention of its tokens.  Each attending token distributes
 exactly one unit of mass, so the scores sum to S.
 
-One streaming scorer accumulates column sums over fixed 256-row blocks,
-in block order, without ever holding S x S (``spatial_attention`` returns
-the full S x S matrix for callers that want it).
+One streaming scorer accumulates column sums without ever holding S x S
+(``spatial_attention`` returns the full S x S matrix for callers that
+want it).  It is cache-blocked at two levels, as in tiled row-softmax
+reductions: one reused 512-row block buffer takes each GEMM, and the
+softmax work walks that block in 16-row slices small enough to stay in
+a core's L2 cache, in block and slice order.
 
 Attention logits and their exponentials are computed in the feature
-dtype, in place in one buffer per block; row sums, normalisation and the
-column accumulation run in float64, so mass conservation holds to ~1e-12
+dtype, in place in the block buffer; each slice is then copied once into
+one reused float64 buffer, from which its row sums, normalisation and
+column contribution are formed, so mass conservation holds to ~1e-12
 even at realistic S.
 """
 
@@ -27,7 +31,8 @@ from .errors import ArgumentError
 from .features import FrameFeatures
 from .numerics import matmul, softmax_rows
 
-_STREAM_BLOCK_ROWS = 256
+_STREAM_BLOCK_ROWS = 512  # query rows per GEMM; each block repacks flat.T once
+_SLICE_ROWS = 16  # softmax rows per slice: 1.2 MB of float32 + float64 at S = 6272, fits L2
 
 
 @dataclass
@@ -107,22 +112,35 @@ def spatial_attention(features: FrameFeatures | np.ndarray) -> np.ndarray:
 def frame_scores(features: FrameFeatures | np.ndarray) -> FrameScore:
     """Attention mass received per frame: the per-frame column sums of ``spatial_attention``.
 
-    Walks fixed 256-row blocks and never allocates S x S.  Each block's
-    exponentials are computed in place in the feature dtype; row sums,
-    normalisation and column sums run in float64.
+    Never allocates S x S.  Each 512-row block of logits is written into
+    one reused buffer; each 16-row slice of it gets its exponentials in
+    place in the feature dtype, then one copy into a reused float64
+    buffer that gives both its row sums and its column contribution.
     """
     flat, t, tokens_per_frame = _flat_tokens(features)
     s, d = flat.shape
     if flat.dtype.kind != "f":
         flat = flat.astype(np.float64)
     scale = flat.dtype.type(1.0 / math.sqrt(d))
+    block = np.empty((min(_STREAM_BLOCK_ROWS, s), s), dtype=flat.dtype)
+    row_max = np.empty((_SLICE_ROWS, 1), dtype=flat.dtype)
+    wide = np.empty((min(_SLICE_ROWS, s), s), dtype=np.float64)
+    column = np.empty(s, dtype=np.float64)
     received = np.zeros(s, dtype=np.float64)
     for a in range(0, s, _STREAM_BLOCK_ROWS):
-        e = matmul(flat[a : a + _STREAM_BLOCK_ROWS], flat.T)
-        e -= e.max(axis=1, keepdims=True)
-        e *= scale
-        np.exp(e, out=e)
-        received += (1.0 / e.sum(axis=1, dtype=np.float64)) @ e
+        queries = flat[a : a + _STREAM_BLOCK_ROWS]
+        rows = matmul(queries, flat.T, out=block[: queries.shape[0]])
+        for r in range(0, rows.shape[0], _SLICE_ROWS):
+            e = rows[r : r + _SLICE_ROWS]
+            n = e.shape[0]
+            np.max(e, axis=1, keepdims=True, out=row_max[:n])
+            e -= row_max[:n]
+            e *= scale
+            np.exp(e, out=e)
+            w = wide[:n]
+            np.copyto(w, e)
+            np.matmul(1.0 / w.sum(axis=1), w, out=column)
+            received += column
     return FrameScore(received.reshape(t, tokens_per_frame).sum(axis=1))
 
 

@@ -1,10 +1,12 @@
 """CLI surface: JSON reports, schema conformance, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from framescope import cli, pipeline, schemas
@@ -386,6 +388,20 @@ class TestBench:
         pipeline._branch_params.cache_clear()
         report = parse_report(capsys, "bench", "--frames", "4", "--repeat", "2")
         assert report["stages"]["params"]["median_ms"] < 1.0
+
+    def test_save_writes_report_and_machine(self, capsys, tmp_path):
+        path = tmp_path / "bench.json"
+        report = parse_report(capsys, "bench", *SMALL_RUN, "--repeat", "1", "--save", str(path))
+        saved = json.loads(path.read_text())
+        jsonschema.validate(saved, schemas.BENCH_REPORT)
+        assert saved["machine"]["nproc"] == os.cpu_count()
+        assert saved["machine"]["numpy"] == np.__version__
+        assert {k: v for k, v in saved.items() if k != "machine"} == report
+        assert "machine" not in report
+
+    def test_save_to_missing_directory_fails_with_json_error(self, capsys, tmp_path):
+        parse_error(capsys, "bench", *SMALL_RUN, "--repeat", "1",
+                    "--save", str(tmp_path / "no" / "b.json"), error_type="FileNotFoundError")
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one_fails_with_json_error(self, capsys, repeat):

@@ -112,6 +112,29 @@ class TestMatmul:
             matmul(np.zeros((3, 4), dtype=np.float32), np.zeros((4, 5), dtype=np.float32))
         assert c.total == 3 * 5 * 4
 
+    def test_out_is_returned_with_the_bits_of_the_product(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((7, 33)).astype(np.float32)
+        b = rng.standard_normal((40, 33)).astype(np.float32).T
+        buffer = np.full((9, 40), np.nan, dtype=np.float32)
+        out = buffer[:7]
+        assert matmul(a, b, out=out) is out
+        assert np.array_equal(out, a @ b)
+        assert np.isnan(buffer[7:]).all()
+
+    def test_out_counts_the_same_macs(self):
+        a, b = np.ones((3, 4)), np.ones((4, 5))
+        with count_macs() as plain:
+            matmul(a, b)
+        with count_macs() as into:
+            matmul(a, b, out=np.empty((3, 5)))
+        assert into.total == plain.total == 3 * 5 * 4
+
+    def test_mis_shaped_out_names_both_shapes(self):
+        with count_macs() as c, pytest.raises(ShapeError, match=r"\(5, 3\).*\(3, 5\)"):
+            matmul(np.ones((3, 4)), np.ones((4, 5)), out=np.empty((5, 3)))
+        assert c.total == 0
+
 
 class TestSoftmaxRows:
     def test_symmetry(self):
@@ -456,6 +479,13 @@ class TestOperatorProperties:
         hr, wr = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
         x = np.full((f, c, h, w), value)
         assert np.allclose(adaptive_avg_pool2d(x, hr, wr), value, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-310])
+    @pytest.mark.parametrize("h,w,hr,wr", [(1, 2, 1, 1), (3, 3, 2, 2), (5, 7, 3, 2)])
+    def test_subnormal_constant_pools_to_itself(self, value, h, w, hr, wr):
+        # summing before the one division keeps the subnormal from rounding to 0
+        x = np.full((1, 2, h, w), value)
+        assert np.array_equal(adaptive_avg_pool2d(x, hr, wr), np.full((1, 2, hr, wr), value))
 
 
 class TestGeluInPlace:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from framescope.errors import ArgumentError
 from framescope.features import EncoderSpec, FrameFeatures, synth_image_features
 from framescope.selection import (
+    _SLICE_ROWS,
+    _STREAM_BLOCK_ROWS,
     FrameScore,
     KeyFrameSet,
     frame_scores,
@@ -50,6 +52,20 @@ def score_oracle(tensor):
     np.exp(attention, out=attention)
     attention /= attention.sum(axis=1, keepdims=True)
     return attention.sum(axis=0).reshape(t, h * w).sum(axis=1)
+
+
+REALISTIC_S = 16 * 196  # 16 frames of 14 x 14 tokens
+
+
+def scorer_peak_bytes():
+    """tracemalloc peak of one ``frame_scores`` call at S = 3136, D = 768."""
+    feats = synth_image_features(6, 16, EncoderSpec("synthetic-image", (14, 14), 768))
+    tracemalloc.start()
+    try:
+        frame_scores(feats)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def top_k_oracle(scores, k):
@@ -122,8 +138,10 @@ class TestFrameScores:
             assert np.max(np.abs(dense - stream)) < 1e-5
 
     def test_streaming_crosses_block_boundaries(self):
-        # S = 8 * 8 * 8 = 512 rows -> two 256-row blocks
-        feats = synth_image_features(2, 8, EncoderSpec("synthetic-image", (8, 8), 16))
+        # one token per frame; a full block, then a ragged block ending in a ragged slice
+        s = _STREAM_BLOCK_ROWS + _SLICE_ROWS + 3
+        assert s % _STREAM_BLOCK_ROWS > _SLICE_ROWS and s % _SLICE_ROWS != 0
+        feats = synth_image_features(2, s, EncoderSpec("synthetic-image", (1, 1), 16))
         dense = score_oracle(feats.tensor)
         stream = frame_scores(feats).scores
         assert np.max(np.abs(dense - stream)) < 1e-5
@@ -156,16 +174,13 @@ class TestFrameScores:
         assert np.allclose(fs.scores, score_oracle(feats.tensor), rtol=1e-7, atol=0)
 
     def test_streaming_peak_allocation_is_bounded(self):
-        feats = synth_image_features(6, 16, EncoderSpec("synthetic-image", (14, 14), 768))
-        s = 16 * 196
-        tracemalloc.start()
-        try:
-            frame_scores(feats)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         # a few 256-row blocks of float64, far below one S x S matrix (78.7 MB)
-        assert peak < 3 * 256 * s * 8
+        assert scorer_peak_bytes() < 3 * 256 * REALISTIC_S * 8
+
+    def test_scorer_makes_no_float64_block_copy(self):
+        # one float32 block plus float64 slices (7.2 MB); a float64 copy of the block adds 12.8 MB
+        s = REALISTIC_S
+        assert scorer_peak_bytes() < _STREAM_BLOCK_ROWS * s * 4 + 32 * s * 8
 
     def test_conservation(self):
         for seed in range(5):
