@@ -24,6 +24,7 @@ drive every downstream configuration.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -61,33 +62,58 @@ def splitmix64(x: int | np.ndarray) -> int | np.ndarray:
     All arithmetic is modulo 2**64.
     """
     if isinstance(x, np.ndarray):
-        z = x.astype(_U64, copy=True) + _U64(_GAMMA)
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return z ^ (z >> _U64(31))
+        z = x.astype(_U64, copy=True)
+        _splitmix64_inplace(z, np.empty_like(z))
+        return z
     z = (int(x) + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-_STREAM_CHUNK = 1 << 15  # elements per pass: the uint64/float64 temporaries stay at 256 KiB each
+def _splitmix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
+    """``splitmix64`` over a uint64 array, in place; ``scratch`` is a uint64 array of z's shape."""
+    z += _U64(_GAMMA)
+    np.right_shift(z, _U64(30), out=scratch)
+    z ^= scratch
+    z *= _U64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, _U64(27), out=scratch)
+    z ^= scratch
+    z *= _U64(0x94D049BB133111EB)
+    np.right_shift(z, _U64(31), out=scratch)
+    z ^= scratch
+
+
+_STREAM_CHUNK = 1 << 15  # elements per pass: each uint64/float64 chunk buffer is 256 KiB
 
 
 def stream_values(key: int, n: int, scale: float = 1.0) -> np.ndarray:
     """float32 values ``(2u - 1) * scale`` for i < n, u = top 53 bits of splitmix64(key ^ i) / 2**53.
 
-    Filled in fixed-size chunks so the integer and double temporaries stay
-    small; each value depends only on its index, so the chunking does not
-    change a bit.
+    Filled a fixed-size chunk at a time, in place in one uint64 index base,
+    two uint64 chunk buffers and one float64 chunk buffer, so no temporary
+    grows with n; each value depends only on its index, so the chunking
+    does not change a bit.  The top 53 bits are cast to float64 through an
+    int64 view, which is exact because they are below 2**53.
     """
     out = np.empty(n, dtype=np.float32)
+    size = min(_STREAM_CHUNK, n)
+    base = np.arange(size, dtype=_U64)
+    z, scratch = np.empty(size, dtype=_U64), np.empty(size, dtype=_U64)
+    u = np.empty(size, dtype=np.float64)
     key = _U64(key & _MASK64)
     for start in range(0, n, _STREAM_CHUNK):
-        stop = min(start + _STREAM_CHUNK, n)
-        words = splitmix64(np.arange(start, stop, dtype=_U64) ^ key)
-        u = (words >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-        out[start:stop] = (2.0 * u - 1.0) * scale
+        m = min(_STREAM_CHUNK, n - start)
+        zc, uc = z[:m], u[:m]
+        np.add(base[:m], _U64(start), out=zc)
+        zc ^= key
+        _splitmix64_inplace(zc, scratch[:m])
+        zc >>= _U64(11)
+        # 2u: the power-of-two scalings are exact, so this is 2.0 * (z * 2**-53)
+        np.multiply(zc.view(np.int64), 2.0**-52, out=uc)
+        uc -= 1.0
+        uc *= scale
+        out[start : start + m] = uc
     return out
 
 
@@ -251,47 +277,68 @@ def write_features(path, t: np.ndarray) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    """Read one MVGF tensor; raises a named FormatError on malformed files."""
+    """Read one MVGF tensor; raises a named FormatError on malformed files.
+
+    The header and dimension list are read with small reads, then the
+    payload goes straight into one freshly allocated array with
+    ``readinto``: the result is the only copy, native-order, writable and
+    C-contiguous.  A seekable file whose size cannot hold the declared
+    payload is refused before the allocation, and a pipe whose header
+    declares more than can be allocated raises DimensionOverflowError.
+    Trailing bytes are found by reading past the payload, so a FIFO or
+    pipe path reads like a file.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}, found {raw[:4]!r}")
-    if len(raw) < 10:
-        raise TruncatedPayloadError(f"file ends inside the fixed header ({len(raw)} bytes)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    code, rank = struct.unpack_from("<BB", raw, 8)
-    if code not in _CODE_DTYPES:
-        raise FormatError(f"unknown dtype code {code}")
-    if rank < 1:
-        raise FormatError(f"rank must be >= 1, got {rank}")
-    off = 10
-    if len(raw) < off + 8 * rank:
-        raise TruncatedPayloadError("file ends inside the dimension list")
-    dims = struct.unpack_from(f"<{rank}Q", raw, off)
-    off += 8 * rank
-    dtype = _CODE_DTYPES[code]
-    count = 1
-    for d in dims:
-        if d < 1:
-            raise FormatError(f"dimension {d} is not positive in {dims}")
-        count *= d
-        if count * dtype.itemsize > 2**62:
-            raise DimensionOverflowError(f"dimensions {dims} overflow a real payload size")
-    need = count * dtype.itemsize
-    have = len(raw) - off
-    if have < need:
-        raise TruncatedPayloadError(
-            f"header declares {count} scalars ({need} bytes) but only {have} bytes follow"
-        )
-    if have > need:
-        raise FormatError(f"{have - need} trailing bytes after the declared payload")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-    if not np.isfinite(data).all():
+        head = f.read(10)
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"expected magic {MAGIC!r}, found {head[:4]!r}")
+        if len(head) < 10:
+            raise TruncatedPayloadError(f"file ends inside the fixed header ({len(head)} bytes)")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        code, rank = struct.unpack_from("<BB", head, 8)
+        if code not in _CODE_DTYPES:
+            raise FormatError(f"unknown dtype code {code}")
+        if rank < 1:
+            raise FormatError(f"rank must be >= 1, got {rank}")
+        dim_bytes = f.read(8 * rank)
+        if len(dim_bytes) < 8 * rank:
+            raise TruncatedPayloadError("file ends inside the dimension list")
+        dims = struct.unpack(f"<{rank}Q", dim_bytes)
+        dtype = _CODE_DTYPES[code]
+        count = 1
+        for d in dims:
+            if d < 1:
+                raise FormatError(f"dimension {d} is not positive in {dims}")
+            count *= d
+            if count * dtype.itemsize > 2**62:
+                raise DimensionOverflowError(f"dimensions {dims} overflow a real payload size")
+        need = count * dtype.itemsize
+        have = need  # a pipe has no size; a short read below tells the same
+        if f.seekable():  # a file's size refuses a corrupt header before the allocation
+            here = f.tell()
+            have = f.seek(0, os.SEEK_END) - here
+            f.seek(here)
+        if have >= need:
+            try:
+                data = np.empty(count, dtype=dtype.newbyteorder("="))
+            except MemoryError:
+                msg = f"dimensions {dims} need more memory than can be allocated"
+                raise DimensionOverflowError(msg) from None
+            have = f.readinto(data)
+        if have < need:
+            raise TruncatedPayloadError(
+                f"header declares {count} scalars ({need} bytes) but only {have} bytes follow"
+            )
+        if f.read(1):
+            raise FormatError("trailing bytes after the declared payload")
+    if dtype != data.dtype:
+        data.byteswap(inplace=True)  # big-endian host: the payload is little-endian
+    # min and max propagate NaN, and an infinity reaches one of them
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise NonFiniteValueError(f"{path}: payload holds NaN or infinite values")
-    native = data.astype(data.dtype.newbyteorder("="), copy=True)
-    return native.reshape(dims)
+    return data.reshape(dims)
 
 
 def tensor_digest(t: np.ndarray) -> str:

@@ -310,8 +310,10 @@ def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus bias.
 
     Output has the same (..., C, H, W) logical shape as the input and is a
-    channel-last view.  The nine taps are accumulated in fixed scan order
-    into a zero-initialised output, then the bias is added.
+    channel-last view.  One frame at a time, so a frame's accumulator and
+    product buffer stay in cache: the nine taps are accumulated in fixed
+    scan order into the frame's zero-initialised output, then the bias is
+    added.
     """
     if x.ndim < 3:
         raise ShapeError(f"depthwise_conv3x3 needs (..., C, H, W), got {x.shape}")
@@ -322,15 +324,17 @@ def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
         )
     xl = np.moveaxis(x, -3, -1)
     taps = np.ascontiguousarray(np.moveaxis(p.kernel, 0, -1))  # (3, 3, C)
-    out = np.zeros(xl.shape, dtype=x.dtype)
-    prod = np.empty(xl.shape, dtype=np.result_type(x, p.kernel))
-    for u, (out_r, in_r) in enumerate(_TAP_SLICES):
-        for v, (out_c, in_c) in enumerate(_TAP_SLICES):
-            region = out[..., out_r, out_c, :]
-            tap = prod[..., out_r, out_c, :]
-            np.multiply(taps[u, v], xl[..., in_r, in_c, :], out=tap)
-            region += tap
-    out += p.bias
+    out = np.empty(xl.shape, dtype=x.dtype)
+    prod = np.empty((h, w, c), dtype=np.result_type(x, p.kernel))
+    for frame in np.ndindex(*batch):
+        src, acc = xl[frame], out[frame]
+        acc.fill(0)
+        for u, (out_r, in_r) in enumerate(_TAP_SLICES):
+            for v, (out_c, in_c) in enumerate(_TAP_SLICES):
+                tap = prod[out_r, out_c]
+                np.multiply(taps[u, v], src[in_r, in_c], out=tap)
+                acc[out_r, out_c] += tap
+        acc += p.bias
     _add_macs(9 * math.prod(batch) * c * h * w)
     return np.moveaxis(out, -1, -3)
 

@@ -10,13 +10,15 @@ One streaming scorer accumulates column sums without ever holding S x S
 (``spatial_attention`` returns the full S x S matrix for callers that
 want it).  It is cache-blocked at two levels, as in tiled row-softmax
 reductions: one reused 512-row block buffer takes each GEMM, and the
-softmax work walks that block in 16-row slices small enough to stay in
+softmax work walks that block in 32-row slices small enough to stay in
 a core's L2 cache, in block and slice order.
 
 Attention logits and their exponentials are computed in the feature
-dtype, in place in the block buffer; each slice is then copied once into
-one reused float64 buffer, from which its row sums, normalisation and
-column contribution are formed, so mass conservation holds to ~1e-12
+dtype, in place in the block buffer.  One product against a ones vector
+reduces each slice to per-frame partial sums, still in the feature
+dtype; those (rows, T) partials are widened to float64, each row is
+divided by the sum of its own partials and the rows are added into a
+float64 accumulator of length T, so mass conservation holds to ~1e-12
 even at realistic S.
 """
 
@@ -32,7 +34,7 @@ from .features import FrameFeatures
 from .numerics import matmul, softmax_rows
 
 _STREAM_BLOCK_ROWS = 512  # query rows per GEMM; each block repacks flat.T once
-_SLICE_ROWS = 16  # softmax rows per slice: 1.2 MB of float32 + float64 at S = 6272, fits L2
+_SLICE_ROWS = 32  # softmax rows per slice: 800 KB of float32 at S = 6272, fits L2
 
 
 @dataclass
@@ -113,9 +115,12 @@ def frame_scores(features: FrameFeatures | np.ndarray) -> FrameScore:
     """Attention mass received per frame: the per-frame column sums of ``spatial_attention``.
 
     Never allocates S x S.  Each 512-row block of logits is written into
-    one reused buffer; each 16-row slice of it gets its exponentials in
-    place in the feature dtype, then one copy into a reused float64
-    buffer that gives both its row sums and its column contribution.
+    one reused buffer; each 32-row slice of it gets its exponentials in
+    place in the feature dtype and is reduced to per-frame sums by one
+    plain product with a ones vector (an epilogue outside the MAC model,
+    so ``count_macs`` sees only the GEMMs).  Each row of those sums is
+    widened to float64 and divided by its total, which is the row's
+    softmax denominator.
     """
     flat, t, tokens_per_frame = _flat_tokens(features)
     s, d = flat.shape
@@ -124,9 +129,8 @@ def frame_scores(features: FrameFeatures | np.ndarray) -> FrameScore:
     scale = flat.dtype.type(1.0 / math.sqrt(d))
     block = np.empty((min(_STREAM_BLOCK_ROWS, s), s), dtype=flat.dtype)
     row_max = np.empty((_SLICE_ROWS, 1), dtype=flat.dtype)
-    wide = np.empty((min(_SLICE_ROWS, s), s), dtype=np.float64)
-    column = np.empty(s, dtype=np.float64)
-    received = np.zeros(s, dtype=np.float64)
+    ones = np.ones(tokens_per_frame, dtype=flat.dtype)
+    received = np.zeros(t, dtype=np.float64)
     for a in range(0, s, _STREAM_BLOCK_ROWS):
         queries = flat[a : a + _STREAM_BLOCK_ROWS]
         rows = matmul(queries, flat.T, out=block[: queries.shape[0]])
@@ -137,11 +141,10 @@ def frame_scores(features: FrameFeatures | np.ndarray) -> FrameScore:
             e -= row_max[:n]
             e *= scale
             np.exp(e, out=e)
-            w = wide[:n]
-            np.copyto(w, e)
-            np.matmul(1.0 / w.sum(axis=1), w, out=column)
-            received += column
-    return FrameScore(received.reshape(t, tokens_per_frame).sum(axis=1))
+            per_frame = (e.reshape(n * t, tokens_per_frame) @ ones).reshape(n, t).astype(np.float64)
+            per_frame /= per_frame.sum(axis=1, keepdims=True)
+            received += per_frame.sum(axis=0)
+    return FrameScore(received)
 
 
 def top_k_frames(score: FrameScore | np.ndarray, k: int) -> KeyFrameSet:

@@ -1,6 +1,8 @@
 """Synthetic generators (golden-pinned) and MVGF round-trips."""
 
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -44,6 +46,29 @@ class TestSplitmix64:
         xs = np.array([0, 1, 42, MASK], dtype=np.uint64)
         vec = splitmix64(xs)
         assert [int(v) for v in vec] == [splitmix64(int(x)) for x in xs]
+
+
+def stream_value_scalar(key, i, scale):
+    """Element i of ``stream_values(key, n, scale)``, one Python int at a time."""
+    u = (splitmix64((key ^ i) & MASK) >> 11) / 2.0**53
+    return np.float32((2.0 * u - 1.0) * scale)
+
+
+class TestStreamValues:
+    CHUNK = features._STREAM_CHUNK
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("scale", [1.0, 0.03])
+    def test_matches_scalar_formula_at_sampled_indices(self, n, key, scale):
+        vals = features.stream_values(key, n, scale)
+        assert vals.shape == (n,) and vals.dtype == np.float32
+        # both ends of every chunk, plus a spread of interior indices
+        ends = {i for c in range(0, n, self.CHUNK) for i in (c, c + 1, c + self.CHUNK - 1)}
+        picks = sorted({i for i in ends | set(range(0, n, 997)) | {n - 1} if i < n})
+        got = [vals[i] for i in picks]
+        want = [stream_value_scalar(key, i, scale) for i in picks]
+        assert np.array_equal(np.array(got), np.array(want))
 
 
 class TestSyntheticImage:
@@ -215,6 +240,80 @@ class TestMvgfRoundTrip:
         with pytest.raises(NonFiniteValueError, match="bad.mvgf"):
             read_features(path)
         assert issubclass(framescope.NonFiniteValueError, FormatError)
+
+
+def write_fifo(path, raw):
+    """Start a thread that writes ``raw`` into the FIFO at ``path`` in 4 KiB pieces."""
+
+    def feed():
+        with open(path, "wb", buffering=0) as f:
+            for i in range(0, len(raw), 4096):
+                f.write(raw[i : i + 4096])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestMvgfStreams:
+    def test_fifo_reads_back_the_same_bits(self, tmp_path):
+        t = synth_image_features(3, 2, EncoderSpec("s", (4, 5), 24)).tensor
+        file_path, fifo = tmp_path / "t.mvgf", tmp_path / "t.fifo"
+        write_features(file_path, t)
+        os.mkfifo(fifo)
+        writer = write_fifo(fifo, file_path.read_bytes())
+        back = read_features(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(back.view(np.uint8), t.view(np.uint8))
+
+    def test_fifo_with_truncated_payload_raises(self, tmp_path):
+        t = np.ones((64, 33), dtype=np.float32)
+        file_path, fifo = tmp_path / "t.mvgf", tmp_path / "t.fifo"
+        write_features(file_path, t)
+        os.mkfifo(fifo)
+        writer = write_fifo(fifo, file_path.read_bytes()[:-5])
+        with pytest.raises(TruncatedPayloadError):
+            read_features(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_fifo_declaring_more_than_memory_raises(self, tmp_path):
+        # 2**60 bytes is past any address space, so the allocation fails without touching memory
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        head = b"MVGF" + struct.pack("<I", 1) + struct.pack("<BB", 1, 1) + struct.pack("<Q", 2**58)
+        writer = write_fifo(fifo, head + b"\x00" * 64)
+        with pytest.raises(DimensionOverflowError):
+            read_features(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+class TestMvgfReadCopies:
+    def test_peak_allocation_is_one_payload(self, tmp_path):
+        # a whole-file bytes object plus a converted copy would hold 2x the payload
+        t = synth_image_features(0, 16).tensor
+        path = tmp_path / "t.mvgf"
+        write_features(path, t)
+        tracemalloc.start()
+        try:
+            back = read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, t)
+        assert peak < 1.3 * t.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_result_is_writable_native_and_contiguous(self, tmp_path, dtype):
+        path = tmp_path / "t.mvgf"
+        write_features(path, np.arange(24, dtype=dtype).reshape(2, 3, 4))
+        back = read_features(path)
+        assert back.flags.writeable and back.flags.c_contiguous
+        assert back.dtype.isnative and back.dtype == dtype
+        back[0, 0, 0] = -1.0
 
 
 @pytest.fixture(scope="module")

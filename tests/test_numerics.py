@@ -372,6 +372,18 @@ class TestBatchedKernels:
         flat = adaptive_avg_pool2d(x.reshape(6, 4, 6, 5), 4, 3)
         assert np.array_equal(adaptive_avg_pool2d(x, 4, 3), flat.reshape(2, 3, 4, 4, 3))
 
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_conv_two_batch_axes_match_stacked_frames_bitwise(self, channel_last):
+        # the conv walks the batch a frame at a time, whatever the memory layout
+        rng = np.random.default_rng(12)
+        shape = (2, 3, 6, 5, 4) if channel_last else (2, 3, 4, 6, 5)
+        x = rng.standard_normal(shape).astype(np.float32)
+        if channel_last:
+            x = np.moveaxis(x, -1, -3)
+        p = ConvParams(*(rng.standard_normal(s).astype(np.float32) for s in ((4, 3, 3), (4,))))
+        stacked = np.stack([np.stack([depthwise_conv3x3(frame, p) for frame in row]) for row in x])
+        assert np.array_equal(depthwise_conv3x3(x, p), stacked)
+
     def test_pool_grad_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pool_grad((2, 3, 6, 6), np.zeros((2, 4, 3, 3)))

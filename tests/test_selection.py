@@ -182,6 +182,17 @@ class TestFrameScores:
         s = REALISTIC_S
         assert scorer_peak_bytes() < _STREAM_BLOCK_ROWS * s * 4 + 32 * s * 8
 
+    def test_scorer_holds_only_the_block_buffer(self):
+        # the float32 block plus a few S-long float64 vectors; per-frame partials are (rows, T)
+        s = REALISTIC_S
+        assert scorer_peak_bytes() < _STREAM_BLOCK_ROWS * s * 4 + 4 * s * 8
+
+    def test_float64_features_match_oracle(self):
+        feats = synth_image_features(7, 6, EncoderSpec("synthetic-image", (7, 7), 64))
+        tensor = feats.tensor.astype(np.float64)
+        fs = frame_scores(tensor)
+        assert np.allclose(fs.scores, score_oracle(tensor), rtol=1e-12, atol=0)
+
     def test_conservation(self):
         for seed in range(5):
             feats = synth_image_features(seed, 4, EncoderSpec("synthetic-image", (4, 4), 8))
