@@ -53,9 +53,9 @@ ffn = ffn_forward(
     LinearParams(params["ffn1.weight"], params["ffn1.bias"]),
     LinearParams(params["ffn2.weight"], params["ffn2.bias"]),
 )
-pooled = adaptive_avg_pool2d(ffn[0].reshape(4, 4, 5).transpose(2, 0, 1), 2, 2)
-print("zero positional encoder == pooled FFN:",
-      np.array_equal(out[0], pooled.transpose(1, 2, 0).reshape(4, 5)))
+# The spatial kernels are channel-last: the (16, 5) tokens are a (4, 4, 5) grid.
+pooled = adaptive_avg_pool2d(ffn[0].reshape(4, 4, 5), 2, 2)
+print("zero positional encoder == pooled FFN:", np.array_equal(out[0], pooled.reshape(4, 5)))
 
 # Cost per frame (multiplies), same input geometry:
 print("\nmultiplies per frame at 14x14x768 -> 896:")

@@ -10,6 +10,7 @@ fields, which never feed the digests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -34,6 +35,7 @@ from .pipeline import (
     NO_SELECTION,
     FileSource,
     PipelineConfig,
+    default_keyframes,
     mac_report,
     make_config,
     run_pipeline,
@@ -100,31 +102,19 @@ def _load_config(args) -> PipelineConfig:
         overrides["branch_mode"] = _BRANCH_FLAG[args.branch]
     if cfg is None:
         return make_config(**overrides)
-    if not overrides:
-        return cfg
-    # rebuild from the file's geometry with the flag overrides applied
-    base = dict(
-        frames=cfg.frames,
-        keyframes=cfg.keyframes,
-        frame_selection=cfg.frame_selection,
-        projector_kind=cfg.projector_kind,
-        branch_mode=cfg.branch_mode,
-        seed=cfg.seed,
-        embed_width=cfg.image_projector.c_out,
-        ffn_hidden=cfg.image_projector.c_hidden,
-        image_grid=cfg.image_encoder.grid,
-        image_depth=cfg.image_encoder.depth,
-        image_grid_out=cfg.image_projector.grid_out,
-        video_grid=cfg.video_encoder.grid,
-        video_depth=cfg.video_encoder.depth,
-        video_grid_out=cfg.video_projector.grid_out,
-    )
-    base.update(overrides)
-    if base["frame_selection"] == NO_SELECTION:
-        base["keyframes"] = base["frames"]
+    # the file's config with only the flagged fields replaced
+    kind = overrides.get("projector_kind")
+    if kind is not None:
+        for name in ("image_projector", "video_projector"):
+            proj = getattr(cfg, name)
+            grid_out = proj.grid_in if kind == MLP_PROJ else proj.grid_out
+            overrides[name] = dataclasses.replace(proj, kind=kind, grid_out=grid_out)
+    frames = overrides.get("frames", cfg.frames)
+    if overrides.get("frame_selection", cfg.frame_selection) == NO_SELECTION:
+        overrides["keyframes"] = frames
     elif "frames" in overrides and "keyframes" not in overrides:
-        base["keyframes"] = max(1, base["frames"] // 2)
-    return make_config(**base)
+        overrides["keyframes"] = default_keyframes(frames)
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _run_report(cfg: PipelineConfig, result) -> dict:
@@ -191,7 +181,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_select(args) -> int:
     feats = FrameFeatures(read_features(args.features))
-    k = args.keyframes if args.keyframes is not None else max(1, feats.frames // 2)
+    k = args.keyframes if args.keyframes is not None else default_keyframes(feats.frames)
     scores = frame_scores(feats)
     keyframes = top_k_frames(scores, k)
     _emit(

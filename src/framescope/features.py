@@ -88,15 +88,22 @@ _STREAM_CHUNK = 1 << 15  # elements per pass: each uint64/float64 chunk buffer i
 
 
 def stream_values(key: int, n: int, scale: float = 1.0) -> np.ndarray:
-    """float32 values ``(2u - 1) * scale`` for i < n, u = top 53 bits of splitmix64(key ^ i) / 2**53.
+    """float32 values ``(2u - 1) * scale`` for i < n, u = top 53 bits of splitmix64(key ^ i) / 2**53."""
+    out = np.empty(n, dtype=np.float32)
+    _fill_stream(out, key, scale)
+    return out
+
+
+def _fill_stream(out: np.ndarray, key: int, scale: float = 1.0) -> None:
+    """Write ``stream_values(key, out.size, scale)`` into the flat float32 array ``out``.
 
     Filled a fixed-size chunk at a time, in place in one uint64 index base,
     two uint64 chunk buffers and one float64 chunk buffer, so no temporary
-    grows with n; each value depends only on its index, so the chunking
-    does not change a bit.  The top 53 bits are cast to float64 through an
-    int64 view, which is exact because they are below 2**53.
+    grows with the size; each value depends only on its index, so the
+    chunking does not change a bit.  The top 53 bits are cast to float64
+    through an int64 view, which is exact because they are below 2**53.
     """
-    out = np.empty(n, dtype=np.float32)
+    n = out.size
     size = min(_STREAM_CHUNK, n)
     base = np.arange(size, dtype=_U64)
     z, scratch = np.empty(size, dtype=_U64), np.empty(size, dtype=_U64)
@@ -114,7 +121,6 @@ def stream_values(key: int, n: int, scale: float = 1.0) -> np.ndarray:
         uc -= 1.0
         uc *= scale
         out[start : start + m] = uc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,8 @@ def synth_video_features(
     Frame slot j mixes the frame's source index into its value stream:
     element i of slot j is ``splitmix64(seed ^ splitmix64(index_j) ^ i)``
     mapped onto [-1, 1), so distinct key-frame sets give distinct tensors
-    and the selection provably reaches the downstream branch.
+    and the selection provably reaches the downstream branch.  Each slot's
+    stream is written straight into its slice of the one output tensor.
     """
     idxs = list(keyframe_indices)
     if not idxs:
@@ -241,11 +248,10 @@ def synth_video_features(
     if any(b <= a for a, b in zip(idxs, idxs[1:])):
         raise ArgumentError(f"key-frame indices must be strictly increasing, got {idxs}")
     h, w = spec.grid
-    slots = [
-        stream_values(seed ^ splitmix64(frame_index), h * w * spec.depth).reshape(h, w, spec.depth)
-        for frame_index in idxs
-    ]
-    return FrameFeatures(np.stack(slots, axis=0))
+    out = np.empty((len(idxs), h, w, spec.depth), dtype=np.float32)
+    for slot, frame_index in zip(out, idxs):
+        _fill_stream(slot.reshape(-1), seed ^ splitmix64(frame_index))
+    return FrameFeatures(out)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _case_ffn(rng):
 
 def _case_pool(rng):
     # 5 -> 3 regions overlap, exercising the general backward; batch of 2
-    x = _uniform(rng, (2, 2, 5, 5))
+    x = _uniform(rng, (2, 5, 5, 2))
 
     def loss():
         return float(np.sum(numerics.adaptive_avg_pool2d(x, 3, 3) ** 2))
@@ -110,7 +110,7 @@ def _case_pool(rng):
 
 
 def _case_conv(rng):
-    x = _uniform(rng, (2, 2, 4, 4))  # batch of 2: dk and db sum over it
+    x = _uniform(rng, (2, 4, 4, 2))  # batch of 2: dk and db sum over it
     p = numerics.ConvParams(_uniform(rng, (2, 3, 3)), _uniform(rng, (2,)))
 
     def loss():

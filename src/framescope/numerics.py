@@ -2,13 +2,12 @@
 
 Tensors are plain numpy arrays of dtype float32 or float64.  float32 is
 the default compute dtype; float64 is used for gradient checking.  The
-spatial kernels take and return a logical (..., C, H, W) shape but work
-channel-last (..., H, W, C) in memory: an input whose memory is already
-channel-last is read without a copy, and the result may be a
-non-contiguous channel-last view.  Callers rely on shapes and values,
-never on strides.  Every kernel is a pure function of its inputs and is
-deterministic bit-for-bit: identical inputs give identical outputs across
-runs and processes, because all reductions happen in a fixed order.
+spatial kernels and their gradients take and return channel-last
+(..., H, W, C) tensors, the layout of the features and the FFN output,
+so a token tensor (B, H*W, C) reshapes into them without a copy.  Every
+kernel is a pure function of its inputs and is deterministic
+bit-for-bit: identical inputs give identical outputs across runs and
+processes, because all reductions happen in a fixed order.
 
 MAC accounting
 --------------
@@ -17,9 +16,9 @@ report their counts to any active ``count_macs()`` context:
 
 * ``matmul``  (m, k) x (k, n)            -> m * n * k
 * ``linear``  tokens x C_in -> C_out     -> tokens * C_in * C_out
-* ``adaptive_avg_pool2d`` C x Hr x Wr    -> C * Hr * Wr   (one division
+* ``adaptive_avg_pool2d`` Hr x Wr x C    -> Hr * Wr * C   (one division
   by the region size per output element)
-* ``depthwise_conv3x3``  C x H x W       -> 9 * C * H * W
+* ``depthwise_conv3x3``  H x W x C       -> 9 * H * W * C
 * pool and conv accept leading batch axes; their counts scale with the batch
 
 Elementwise work (softmax exponentials, GELU, attention-logit scaling)
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +55,14 @@ class MacCounter:
         self.total = 0
 
     def __enter__(self) -> "MacCounter":
-        with _counter_lock:
-            _active_counters.append(self)
+        _active_counters.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        with _counter_lock:
-            _active_counters.remove(self)
+        _active_counters.remove(self)
 
 
 _active_counters: list[MacCounter] = []
-_counter_lock = threading.Lock()
 
 
 def count_macs() -> MacCounter:
@@ -76,10 +71,8 @@ def count_macs() -> MacCounter:
 
 
 def _add_macs(n: int) -> None:
-    if _active_counters:
-        with _counter_lock:
-            for c in _active_counters:
-                c.total += n
+    for c in _active_counters:
+        c.total += n
 
 
 # ---------------------------------------------------------------------------
@@ -241,58 +234,48 @@ def ffn_forward(x: np.ndarray, p1: LinearParams, p2: LinearParams) -> np.ndarray
     return linear(gelu(linear(x, p1)), p2)
 
 
-def _region_mask(n: int, r: int) -> np.ndarray:
-    """(r, n) boolean mask whose row i marks region [floor(i*n/r), ceil((i+1)*n/r))."""
+@functools.lru_cache(maxsize=64)
+def _sum_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
+    """(r, n) 0/1 matrix whose row i sums region [floor(i*n/r), ceil((i+1)*n/r))."""
     if not 1 <= r <= n:
         raise UnsupportedUpsampleError(f"cannot pool an axis of {n} cells to {r}; need 1..{n}")
     i = np.arange(r)[:, None]
     lo, hi = (i * n) // r, -((-(i + 1) * n) // r)
     cols = np.arange(n)
-    return (cols >= lo) & (cols < hi)
-
-
-@functools.lru_cache(maxsize=64)
-def _sum_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
-    """(r, n) 0/1 matrix whose row i sums region i."""
-    m = _region_mask(n, r).astype(dtype)
+    m = ((cols >= lo) & (cols < hi)).astype(dtype)
     m.setflags(write=False)
     return m
 
 
-@functools.lru_cache(maxsize=64)
-def _pool_matrix(n: int, r: int, dtype: np.dtype) -> np.ndarray:
-    """(r, n) matrix whose row i averages region i (the pool's adjoint uses it)."""
-    mask = _region_mask(n, r)
-    m = (mask / mask.sum(axis=1, keepdims=True)).astype(dtype)
-    m.setflags(write=False)
-    return m
+def _pool_operators(
+    h: int, w: int, hr: int, wr: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row sums ``S_h`` (hr, h), column sums ``S_w`` (wr, w) and the (hr, wr, 1) region sizes."""
+    s_h, s_w = _sum_matrix(h, hr, dtype), _sum_matrix(w, wr, dtype)
+    return s_h, s_w, np.outer(s_h.sum(axis=1), s_w.sum(axis=1))[:, :, None]
 
 
 def adaptive_avg_pool2d(x: np.ndarray, hr: int, wr: int) -> np.ndarray:
-    """Adaptive average pooling of (..., C, H, W) down to (..., C, hr, wr).
+    """Adaptive average pooling of (..., H, W, C) down to (..., hr, wr, C).
 
     Output cell (i, j) averages the input region
     ``rows [floor(i*H/hr), ceil((i+1)*H/hr)) x cols [floor(j*W/wr), ceil((j+1)*W/wr))``.
     Regions may overlap when hr does not divide H.  With hr == H and
-    wr == W this is the identity; upsampling is not supported.  Computed
-    channel-last with two 0/1 region matrices: ``S_h`` sums rows as one
-    product over (..., H, W*C), ``S_w`` sums columns over (..., hr, W, C),
-    and each cell is then divided once by its region size, so a subnormal
-    constant pools to itself.  The result is a channel-last view, so an
-    input already laid out as (..., H, W, C) in memory is read without a
-    copy.
+    wr == W this is the identity; upsampling is not supported.  Two 0/1
+    region matrices do the sums: ``S_h`` sums rows as one product over
+    (..., H, W*C), ``S_w`` sums columns over (..., hr, W, C), and each
+    cell is then divided once by its region size, so a subnormal constant
+    pools to itself.
     """
     if x.ndim < 3:
-        raise ShapeError(f"adaptive_avg_pool2d needs (..., C, H, W), got {x.shape}")
-    *batch, c, h, w = x.shape
-    s_h, s_w = _sum_matrix(h, hr, x.dtype), _sum_matrix(w, wr, x.dtype)
-    _add_macs(math.prod(batch) * c * hr * wr)
-    # Contiguous operands, so both layouts reach the same BLAS call and bits.
-    xl = np.ascontiguousarray(np.moveaxis(x, -3, -1)).reshape(*batch, h, w * c)
-    rows = s_h @ xl
+        raise ShapeError(f"adaptive_avg_pool2d needs (..., H, W, C), got {x.shape}")
+    *batch, h, w, c = x.shape
+    s_h, s_w, sizes = _pool_operators(h, w, hr, wr, x.dtype)
+    _add_macs(math.prod(batch) * hr * wr * c)
+    rows = s_h @ x.reshape(*batch, h, w * c)
     out = s_w @ rows.reshape(*batch, hr, w, c)
-    out /= np.outer(s_h.sum(axis=1), s_w.sum(axis=1))[:, :, None]
-    return np.moveaxis(out, -1, -3)
+    out /= sizes
+    return out
 
 
 # Output and input slices along one axis for tap offset u: output cell i
@@ -307,27 +290,25 @@ _TAP_SLICES = (
 
 
 def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus bias.
+    """Per-channel 3x3 cross-correlation of (..., H, W, C), zero padding 1, stride 1, plus bias.
 
-    Output has the same (..., C, H, W) logical shape as the input and is a
-    channel-last view.  One frame at a time, so a frame's accumulator and
-    product buffer stay in cache: the nine taps are accumulated in fixed
-    scan order into the frame's zero-initialised output, then the bias is
-    added.
+    The output has the input's shape.  One frame at a time, so a frame's
+    accumulator and product buffer stay in cache: the nine taps are
+    accumulated in fixed scan order into the frame's zero-initialised
+    output, then the bias is added.
     """
     if x.ndim < 3:
-        raise ShapeError(f"depthwise_conv3x3 needs (..., C, H, W), got {x.shape}")
-    *batch, c, h, w = x.shape
+        raise ShapeError(f"depthwise_conv3x3 needs (..., H, W, C), got {x.shape}")
+    *batch, h, w, c = x.shape
     if p.channels != c:
         raise ShapeError(
             f"input has {c} channels but kernel is {p.kernel.shape}"
         )
-    xl = np.moveaxis(x, -3, -1)
-    taps = np.ascontiguousarray(np.moveaxis(p.kernel, 0, -1))  # (3, 3, C)
-    out = np.empty(xl.shape, dtype=x.dtype)
+    taps = np.ascontiguousarray(np.moveaxis(p.kernel, 0, -1))  # (3, 3, C), like the tensors
+    out = np.empty(x.shape, dtype=x.dtype)
     prod = np.empty((h, w, c), dtype=np.result_type(x, p.kernel))
     for frame in np.ndindex(*batch):
-        src, acc = xl[frame], out[frame]
+        src, acc = x[frame], out[frame]
         acc.fill(0)
         for u, (out_r, in_r) in enumerate(_TAP_SLICES):
             for v, (out_c, in_c) in enumerate(_TAP_SLICES):
@@ -335,8 +316,8 @@ def depthwise_conv3x3(x: np.ndarray, p: ConvParams) -> np.ndarray:
                 np.multiply(taps[u, v], src[in_r, in_c], out=tap)
                 acc[out_r, out_c] += tap
         acc += p.bias
-    _add_macs(9 * math.prod(batch) * c * h * w)
-    return np.moveaxis(out, -1, -3)
+    _add_macs(9 * math.prod(batch) * h * w * c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +371,20 @@ def ffn_grad(
 
 
 def pool_grad(in_shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
-    """Gradient of ``adaptive_avg_pool2d`` w.r.t. its (..., C, H, W) input.
+    """Gradient of ``adaptive_avg_pool2d`` w.r.t. its (..., H, W, C) input.
 
-    Each input cell collects ``g[..., c, i, j] / region_size`` from every
+    Each input cell collects ``g[..., i, j, c] / region_size`` from every
     output region that covers it (regions overlap for non-divisible grids):
-    ``P_h^T @ g @ P_w``.
+    g is divided once by the region sizes, then spread back over the
+    columns by ``S_w^T`` and over the rows by ``S_h^T``.
     """
-    *lead, h, w = in_shape
-    if g.shape[:-2] != tuple(lead):
+    *lead, h, w, c = in_shape
+    if g.ndim != len(in_shape) or g.shape[:-3] != tuple(lead) or g.shape[-1] != c:
         raise ShapeError(f"gradient {g.shape} does not match input {tuple(in_shape)}")
-    hr, wr = g.shape[-2:]
-    return _pool_matrix(h, hr, g.dtype).T @ g @ _pool_matrix(w, wr, g.dtype)
+    hr, wr = g.shape[-3:-1]
+    s_h, s_w, sizes = _pool_operators(h, w, hr, wr, g.dtype)
+    cols = s_w.T @ (g / sizes)
+    return (s_h.T @ cols.reshape(*lead, hr, w * c)).reshape(*lead, h, w, c)
 
 
 def conv_grad(
@@ -408,23 +392,24 @@ def conv_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``depthwise_conv3x3``: returns (dx, dkernel, dbias).
 
-    dkernel and dbias sum the batch entries in order.
+    Walks the forward's tap slices one frame at a time, so border taps
+    are skipped, not multiplied by padding; dkernel and dbias sum the
+    frames in order.
     """
     if g.shape != x.shape:
         raise ShapeError(f"upstream gradient {g.shape} does not match input {x.shape}")
-    c, h, w = x.shape[-3:]
+    *batch, _, _, c = x.shape
     if p.channels != c:
         raise ShapeError(f"input has {c} channels but kernel is {p.kernel.shape}")
-
-    def batch_sum(t: np.ndarray) -> np.ndarray:
-        return t.sum(axis=(-2, -1)).reshape(-1, c).sum(axis=0)
-
-    pad = np.zeros((*x.shape[:-2], h + 2, w + 2), dtype=x.dtype)
-    pad[..., 1 : h + 1, 1 : w + 1] = x
-    dk = np.empty_like(p.kernel)
-    dpad = np.zeros_like(pad)
-    for u in range(3):
-        for v in range(3):
-            dk[:, u, v] = batch_sum(pad[..., u : u + h, v : v + w] * g)
-            dpad[..., u : u + h, v : v + w] += p.kernel[:, u, v][:, None, None] * g
-    return dpad[..., 1 : h + 1, 1 : w + 1], dk, batch_sum(g)
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    dk = np.zeros_like(p.kernel)
+    db = np.zeros(c, dtype=g.dtype)
+    for frame in np.ndindex(*batch):
+        src, grad, acc = x[frame], g[frame], dx[frame]
+        for u, (out_r, in_r) in enumerate(_TAP_SLICES):
+            for v, (out_c, in_c) in enumerate(_TAP_SLICES):
+                tap = grad[out_r, out_c]
+                dk[:, u, v] += (tap * src[in_r, in_c]).sum(axis=(0, 1))
+                acc[in_r, in_c] += p.kernel[:, u, v] * tap
+        db += grad.sum(axis=(0, 1))
+    return dx, dk, db

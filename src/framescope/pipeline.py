@@ -112,6 +112,12 @@ class PipelineConfig:
                     f"{name} projector expects grid {proj.grid_in} x {proj.c_in} but the "
                     f"encoder provides {spec.grid} x {spec.depth}"
                 )
+        if self.image_projector.c_out != self.video_projector.c_out:
+            raise ShapeError(
+                f"image projector c_out {self.image_projector.c_out} differs from video "
+                f"projector c_out {self.video_projector.c_out}; both feed the language "
+                f"model's one embedding width"
+            )
 
     @property
     def has_image_branch(self) -> bool:
@@ -167,6 +173,11 @@ class PipelineConfig:
         return PipelineConfig.from_dict(json.loads(text))
 
 
+def default_keyframes(frames: int) -> int:
+    """K when none is given: half the frames, at least one."""
+    return max(1, frames // 2)
+
+
 def make_config(
     frames: int = 16,
     keyframes: int | None = None,
@@ -193,7 +204,7 @@ def make_config(
     if frame_selection == NO_SELECTION:
         keyframes = frames
     elif keyframes is None:
-        keyframes = max(1, frames // 2)
+        keyframes = default_keyframes(frames)
     image_spec = EncoderSpec("synthetic-image", image_grid, image_depth)
     video_spec = EncoderSpec("synthetic-video", video_grid, video_depth)
     if projector_kind == MLP_PROJ:

@@ -217,13 +217,12 @@ def projector_forward(x: np.ndarray, cfg: ProjectorConfig, params: ProjectorPara
     h, w = cfg.grid_in
     hr, wr = cfg.grid_out
     b = x.shape[0]
-    # The FFN output (B, N, C_out) is already (B, H, W, C_out) in memory, so
-    # the pool reads it channel-last without a copy; it is freed before the conv.
-    pooled = adaptive_avg_pool2d(out.reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2), hr, wr)
+    # (B, H*W, C_out) reshapes to the grid without a copy; it is freed before the conv.
+    pooled = adaptive_avg_pool2d(out.reshape(b, h, w, cfg.c_out), hr, wr)
     del out
     out = depthwise_conv3x3(pooled, ConvParams(params["posenc.kernel"], params["posenc.bias"]))
     out += pooled  # skip connection
-    return out.transpose(0, 2, 3, 1).reshape(b, hr * wr, cfg.c_out)
+    return out.reshape(b, hr * wr, cfg.c_out)
 
 
 def projector_backward(
@@ -241,12 +240,11 @@ def projector_backward(
     if cfg.kind == ET_PROJ:
         h, w = cfg.grid_in
         hr, wr = cfg.grid_out
-        grid = ffn_forward(x, p1, p2).reshape(b, h, w, cfg.c_out).transpose(0, 3, 1, 2)
-        g_grid = g.reshape(b, hr, wr, cfg.c_out).transpose(0, 3, 1, 2)
+        grid = ffn_forward(x, p1, p2).reshape(b, h, w, cfg.c_out)
+        g_grid = g.reshape(b, hr, wr, cfg.c_out)
         posenc = ConvParams(params["posenc.kernel"], params["posenc.bias"])
         dconv_in, *conv = conv_grad(adaptive_avg_pool2d(grid, hr, wr), posenc, g_grid)
-        dy_grid = pool_grad(grid.shape, g_grid + dconv_in)  # skip connection
-        g = dy_grid.transpose(0, 2, 3, 1).reshape(b, h * w, cfg.c_out)
+        g = pool_grad(grid.shape, g_grid + dconv_in).reshape(b, h * w, cfg.c_out)  # skip connection
     dx, dffn1, dffn2 = ffn_grad(x, p1, p2, g)
     return dx, dict(zip(role_shapes(cfg), (*dffn1, *dffn2, *conv), strict=True))
 

@@ -139,18 +139,18 @@ def test_05_et_proj_structural_checks():
             LinearParams(params["ffn1.weight"], params["ffn1.bias"]),
             LinearParams(params["ffn2.weight"], params["ffn2.bias"]),
         )
-        pooled = adaptive_avg_pool2d(y[0].reshape(4, 4, 5).transpose(2, 0, 1), 2, 2)
-        assert np.array_equal(out[0], pooled.transpose(1, 2, 0).reshape(4, 5))
+        pooled = adaptive_avg_pool2d(y[0].reshape(4, 4, 5), 2, 2)
+        assert np.array_equal(out[0], pooled.reshape(4, 5))
         # adaptive pooling against the brute-force region oracle at 14x14 -> 12x12
-        x = rng.standard_normal((3, 14, 14)).astype(np.float32)
+        x = rng.standard_normal((14, 14, 3)).astype(np.float32)
         got = adaptive_avg_pool2d(x, 12, 12)
         for c in range(3):
             for i in range(12):
                 r0, r1 = (i * 14) // 12, -((-(i + 1) * 14) // 12)
                 for j in range(12):
                     c0, c1 = (j * 14) // 12, -((-(j + 1) * 14) // 12)
-                    region = [float(x[c, r, cc]) for r in range(r0, r1) for cc in range(c0, c1)]
-                    assert abs(got[c, i, j] - sum(region) / len(region)) < 1e-6
+                    region = [float(x[r, cc, c]) for r in range(r0, r1) for cc in range(c0, c1)]
+                    assert abs(got[i, j, c] - sum(region) / len(region)) < 1e-6
 
 
 def test_06_gradient_checks():

@@ -299,6 +299,59 @@ class TestRun:
             capsys, "budget", "--frames", "4"
         )
 
+    @pytest.mark.parametrize(
+        "flags, overridden",
+        [
+            (["--seed", "3"], {"seed"}),
+            (["--frames", "6"], {"frames", "keyframes"}),
+            (["-K", "1"], {"keyframes"}),
+            (["--no-frame-selection"], {"frame_selection", "keyframes"}),
+            (["--branch", "video"], {"branch_mode"}),
+            (["--projector", "mlp"], {"projector_kind", "image_projector.kind",
+                                      "image_projector.grid_out", "video_projector.kind",
+                                      "video_projector.grid_out"}),
+        ],
+        ids=["seed", "frames", "keyframes", "no_selection", "branch", "projector"],
+    )
+    def test_flag_overrides_keep_every_other_file_field(self, tmp_path, flags, overridden):
+        from framescope.pipeline import make_config
+
+        d = make_config(frames=4, image_grid=(3, 3), image_depth=4, image_grid_out=(2, 2),
+                        video_grid=(3, 3), video_depth=4, video_grid_out=(1, 1),
+                        embed_width=5, seed=2).to_dict()
+        # fields make_config cannot express
+        d["video_projector"]["c_hidden"] = 3
+        d["image_encoder"]["name"] = "vit"
+        d["video_encoder"]["input_resolution"] = 336
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        args = cli.build_parser().parse_args(["budget", "--config", str(path), *flags])
+
+        def flat(config: dict) -> dict:
+            out = {}
+            for key, value in config.items():
+                if isinstance(value, dict):
+                    out.update({f"{key}.{k}": v for k, v in value.items()})
+                else:
+                    out[key] = value
+            return out
+
+        before, after = flat(d), flat(cli._load_config(args).to_dict())
+        assert before.keys() == after.keys()
+        assert {key for key in before if before[key] != after[key]} == overridden
+
+    def test_projector_widths_that_differ_fail_with_json_error(self, capsys, tmp_path):
+        from framescope.pipeline import make_config
+
+        d = make_config(frames=4, image_grid=(3, 3), image_depth=4, image_grid_out=(2, 2),
+                        video_grid=(3, 3), video_depth=4, video_grid_out=(1, 1),
+                        embed_width=5).to_dict()
+        d["video_projector"]["c_out"] = 7
+        path = tmp_path / "widths.json"
+        path.write_text(json.dumps(d))
+        message = parse_error(capsys, "run", "--config", str(path))
+        assert str(path) in message and "c_out 5" in message and "c_out 7" in message
+
     def test_reports_are_byte_identical_across_calls(self, capsys, feature_file):
         for argv in (["budget"], ["flops", "--branch", "video"],
                      ["select", str(feature_file), "-K", "2"]):

@@ -145,6 +145,17 @@ class TestSyntheticVideo:
         feats = synth_video_features(0, list(range(8)))
         assert tensor_digest(feats.tensor) == "ed07c8c590d93632"
 
+    def test_peak_allocation_is_output_plus_one_slot(self):
+        """Each slot streams into its slice of the output; per-slot arrays
+        stacked into a copy would hold twice the 3.6 MB 8-slot tensor."""
+        tracemalloc.start()
+        try:
+            feats = synth_video_features(0, list(range(0, 16, 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * feats.tensor.nbytes
+
     @pytest.mark.parametrize("bad", [[], [3, 2], [1, 1], [-1, 0]])
     def test_bad_index_lists_rejected(self, bad):
         with pytest.raises(ArgumentError):

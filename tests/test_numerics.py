@@ -42,15 +42,15 @@ def matmul_oracle(a, b):
 
 def pool_oracle(x, hr, wr):
     """Brute-force region averaging with explicit floor/ceil bounds."""
-    c, h, w = x.shape
-    out = np.zeros((c, hr, wr), dtype=np.float64)
+    h, w, c = x.shape
+    out = np.zeros((hr, wr, c), dtype=np.float64)
     for ch in range(c):
         for i in range(hr):
             r0, r1 = math.floor(i * h / hr), math.ceil((i + 1) * h / hr)
             for j in range(wr):
                 c0, c1 = math.floor(j * w / wr), math.ceil((j + 1) * w / wr)
-                vals = [float(x[ch, r, cc]) for r in range(r0, r1) for cc in range(c0, c1)]
-                out[ch, i, j] = sum(vals) / len(vals)
+                vals = [float(x[r, cc, ch]) for r in range(r0, r1) for cc in range(c0, c1)]
+                out[i, j, ch] = sum(vals) / len(vals)
     return out
 
 
@@ -72,8 +72,8 @@ def ffn_oracle(x, p1, p2):
 
 def conv_oracle(x, p):
     """Direct six-loop depthwise cross-correlation with zero padding."""
-    c, h, w = x.shape
-    out = np.zeros((c, h, w), dtype=np.float64)
+    h, w, c = x.shape
+    out = np.zeros((h, w, c), dtype=np.float64)
     for ch in range(c):
         for i in range(h):
             for j in range(w):
@@ -82,8 +82,8 @@ def conv_oracle(x, p):
                     for v in range(3):
                         r, cc = i + u - 1, j + v - 1
                         if 0 <= r < h and 0 <= cc < w:
-                            acc += float(p.kernel[ch, u, v]) * float(x[ch, r, cc])
-                out[ch, i, j] = acc
+                            acc += float(p.kernel[ch, u, v]) * float(x[r, cc, ch])
+                out[i, j, ch] = acc
     return out
 
 
@@ -160,36 +160,36 @@ class TestSoftmaxRows:
 
 class TestAdaptiveAvgPool:
     def test_constant_preserved(self):
-        x = np.full((3, 6, 5), 2.5, dtype=np.float32)
+        x = np.full((6, 5, 3), 2.5, dtype=np.float32)
         for hr, wr in [(1, 1), (2, 3), (6, 5)]:
             assert np.allclose(adaptive_avg_pool2d(x, hr, wr), 2.5)
 
     def test_four_by_four_example(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
+        x = np.arange(16, dtype=np.float32).reshape(4, 4, 1)
         out = adaptive_avg_pool2d(x, 2, 2)
-        assert np.allclose(out[0], [[2.5, 4.5], [10.5, 12.5]])
+        assert np.allclose(out[..., 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_matches_region_oracle_14_to_12(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 14, 14)).astype(np.float32)
+        x = rng.standard_normal((14, 14, 1)).astype(np.float32)
         assert np.allclose(adaptive_avg_pool2d(x, 12, 12), pool_oracle(x, 12, 12), atol=1e-6)
 
     def test_identity_when_same_size(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 5, 7)).astype(np.float32)
+        x = rng.standard_normal((5, 7, 2)).astype(np.float32)
         assert np.array_equal(adaptive_avg_pool2d(x, 5, 7), x)
 
     def test_global_mean_preserved_when_divisible(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 12, 8)).astype(np.float32)
+        x = rng.standard_normal((12, 8, 2)).astype(np.float32)
         out = adaptive_avg_pool2d(x, 4, 4)
         assert out.mean() == pytest.approx(x.mean(), abs=1e-6)
 
     def test_upsample_rejected(self):
         with pytest.raises(UnsupportedUpsampleError):
-            adaptive_avg_pool2d(np.zeros((1, 4, 4)), 5, 4)
+            adaptive_avg_pool2d(np.zeros((4, 4, 1)), 5, 4)
         with pytest.raises(UnsupportedUpsampleError):
-            adaptive_avg_pool2d(np.zeros((1, 4, 4)), 4, 6)
+            adaptive_avg_pool2d(np.zeros((4, 4, 1)), 4, 6)
 
 
 class TestFfnForward:
@@ -229,13 +229,13 @@ class TestFfnForward:
 
 class TestDepthwiseConv:
     def test_zero_kernel_zero_output(self):
-        x = np.ones((2, 4, 4), dtype=np.float32)
+        x = np.ones((4, 4, 2), dtype=np.float32)
         p = ConvParams(np.zeros((2, 3, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
         assert np.array_equal(depthwise_conv3x3(x, p), np.zeros_like(x))
 
     def test_center_delta_is_identity(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((3, 5, 4)).astype(np.float32)
+        x = rng.standard_normal((5, 4, 3)).astype(np.float32)
         k = np.zeros((3, 3, 3), dtype=np.float32)
         k[:, 1, 1] = 1.0
         p = ConvParams(k, np.zeros(3, dtype=np.float32))
@@ -243,7 +243,7 @@ class TestDepthwiseConv:
 
     def test_matches_six_loop_oracle(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((2, 5, 5)).astype(np.float32)
+        x = rng.standard_normal((5, 5, 2)).astype(np.float32)
         p = ConvParams(
             rng.standard_normal((2, 3, 3)).astype(np.float32),
             rng.standard_normal(2).astype(np.float32),
@@ -253,7 +253,7 @@ class TestDepthwiseConv:
     def test_channel_mismatch(self):
         p = ConvParams(np.zeros((2, 3, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
         with pytest.raises(ShapeError):
-            depthwise_conv3x3(np.zeros((3, 4, 4), dtype=np.float32), p)
+            depthwise_conv3x3(np.zeros((4, 4, 3), dtype=np.float32), p)
 
     def test_kernel_must_be_3x3(self):
         with pytest.raises(ShapeError):
@@ -263,7 +263,7 @@ class TestDepthwiseConv:
 class TestDeterminism:
     def test_forward_ops_bitwise_repeatable(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((3, 8, 8)).astype(np.float32)
+        x = rng.standard_normal((8, 8, 3)).astype(np.float32)
         a = rng.standard_normal((6, 4)).astype(np.float32)
         b = rng.standard_normal((4, 5)).astype(np.float32)
         p = ConvParams(
@@ -277,7 +277,7 @@ class TestDeterminism:
             assert np.array_equal(depthwise_conv3x3(x, p), depthwise_conv3x3(x, p))
 
     def test_counter_covers_pool_and_conv(self):
-        x = np.zeros((3, 6, 6), dtype=np.float32)
+        x = np.zeros((6, 6, 3), dtype=np.float32)
         p = ConvParams(np.zeros((3, 3, 3), dtype=np.float32), np.zeros(3, dtype=np.float32))
         with count_macs() as c:
             adaptive_avg_pool2d(x, 2, 2)
@@ -286,7 +286,7 @@ class TestDeterminism:
 
 
 def batched_case(seed):
-    """Random (F, C, H, W) input, pooling target and float64 conv params.
+    """Random (F, H, W, C) input, pooling target and float64 conv params.
 
     Seed 0 pools to one row (hr = 1), seed 1 to one column (wr = 1).
     """
@@ -298,7 +298,7 @@ def batched_case(seed):
         hr = 1
     if seed == 1:
         wr = 1
-    x = rng.standard_normal((f, c, h, w))
+    x = rng.standard_normal((f, h, w, c))
     p = ConvParams(rng.standard_normal((c, 3, 3)), rng.standard_normal(c))
     return rng, x, hr, wr, p
 
@@ -319,7 +319,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pool_grad_matches_stacked_frames(self, seed):
         rng, x, hr, wr, _ = batched_case(seed)
-        g = rng.standard_normal((*x.shape[:2], hr, wr)).astype(np.float32)
+        g = rng.standard_normal((x.shape[0], hr, wr, x.shape[-1])).astype(np.float32)
         stacked = np.stack([pool_grad(x.shape[1:], gf) for gf in g])
         assert np.allclose(pool_grad(x.shape, g), stacked, rtol=0, atol=1e-6)
 
@@ -352,7 +352,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pool_adjointness(self, seed):
         rng, x, hr, wr, _ = batched_case(seed)
-        g = rng.standard_normal((*x.shape[:2], hr, wr))
+        g = rng.standard_normal((x.shape[0], hr, wr, x.shape[-1]))
         lhs = np.vdot(adaptive_avg_pool2d(x, hr, wr), g)
         rhs = np.vdot(x, pool_grad(x.shape, g))
         assert abs(lhs - rhs) < 1e-10
@@ -368,25 +368,21 @@ class TestBatchedKernels:
 
     def test_batch_axes_may_be_nested(self):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 4, 6, 5)).astype(np.float32)
-        flat = adaptive_avg_pool2d(x.reshape(6, 4, 6, 5), 4, 3)
-        assert np.array_equal(adaptive_avg_pool2d(x, 4, 3), flat.reshape(2, 3, 4, 4, 3))
+        x = rng.standard_normal((2, 3, 6, 5, 4)).astype(np.float32)
+        flat = adaptive_avg_pool2d(x.reshape(6, 6, 5, 4), 4, 3)
+        assert np.array_equal(adaptive_avg_pool2d(x, 4, 3), flat.reshape(2, 3, 4, 3, 4))
 
-    @pytest.mark.parametrize("channel_last", [False, True])
-    def test_conv_two_batch_axes_match_stacked_frames_bitwise(self, channel_last):
-        # the conv walks the batch a frame at a time, whatever the memory layout
+    def test_conv_two_batch_axes_match_stacked_frames_bitwise(self):
+        # the conv walks the batch a frame at a time
         rng = np.random.default_rng(12)
-        shape = (2, 3, 6, 5, 4) if channel_last else (2, 3, 4, 6, 5)
-        x = rng.standard_normal(shape).astype(np.float32)
-        if channel_last:
-            x = np.moveaxis(x, -1, -3)
+        x = rng.standard_normal((2, 3, 6, 5, 4)).astype(np.float32)
         p = ConvParams(*(rng.standard_normal(s).astype(np.float32) for s in ((4, 3, 3), (4,))))
         stacked = np.stack([np.stack([depthwise_conv3x3(frame, p) for frame in row]) for row in x])
         assert np.array_equal(depthwise_conv3x3(x, p), stacked)
 
     def test_pool_grad_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            pool_grad((2, 3, 6, 6), np.zeros((2, 4, 3, 3)))
+            pool_grad((2, 6, 6, 3), np.zeros((2, 3, 3, 4)))
 
     def test_missing_channel_axis_rejected(self):
         p = ConvParams(np.zeros((1, 3, 3)), np.zeros(1))
@@ -397,30 +393,25 @@ class TestBatchedKernels:
 
 
 def conv_reference(x, p):
-    """The channel-first nine-tap loop over a zero-padded copy.
+    """The nine-tap loop over a zero-padded channel-last copy.
 
     Bitwise reference for ``depthwise_conv3x3``: same product and
     accumulation order, with the border taps multiplying explicit zeros.
     """
-    *batch, c, h, w = x.shape
-    pad = np.zeros((*batch, c, h + 2, w + 2), dtype=x.dtype)
-    pad[..., 1 : h + 1, 1 : w + 1] = x
+    *batch, h, w, c = x.shape
+    pad = np.zeros((*batch, h + 2, w + 2, c), dtype=x.dtype)
+    pad[..., 1 : h + 1, 1 : w + 1, :] = x
     out = np.zeros(x.shape, dtype=x.dtype)
     for u in range(3):
         for v in range(3):
-            out += p.kernel[:, u, v][:, None, None] * pad[..., u : u + h, v : v + w]
-    out += p.bias[:, None, None]
+            out += p.kernel[:, u, v] * pad[..., u : u + h, v : v + w, :]
+    out += p.bias
     return out
 
 
 def gelu_reference(x):
     """The one-line tanh GELU expression that ``gelu`` evaluates in place."""
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
-
-
-def channel_last_copy(x):
-    """Same values and logical (..., C, H, W) shape, channel-last memory."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -3, -1)), -1, -3)
 
 
 GEOMETRY = dict(
@@ -433,71 +424,55 @@ GEOMETRY = dict(
 )
 
 
-class TestChannelLastLayout:
-    """Kernels give the same bits whether the input is channel-first or channel-last."""
-
+class TestOperatorProperties:
     @settings(max_examples=60, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]), **GEOMETRY)
-    # data=None pools to one cell.  W = 1 lets the channel-first input
-    # reshape to (H, W*C) without a copy, as a strided operand.
+    # data=None pools to one cell; H = 1 or W = 1 leaves one tap row or column
     @example(dtype=np.float32, seed=1, f=2, c=3, h=1, w=5, data=None)
     @example(dtype=np.float32, seed=2, f=2, c=3, h=6, w=1, data=None)
     @example(dtype=np.float64, seed=3, f=1, c=2, h=3, w=1, data=None)
-    def test_layouts_agree_and_match_references(self, dtype, seed, f, c, h, w, data):
+    def test_kernels_match_references(self, dtype, seed, f, c, h, w, data):
         hr = data.draw(st.integers(1, h)) if data else 1
         wr = data.draw(st.integers(1, w)) if data else 1
         rng = np.random.default_rng(seed)
-        first = rng.standard_normal((f, c, h, w)).astype(dtype)
-        last = channel_last_copy(first)
-        assert np.moveaxis(last, -3, -1).flags.c_contiguous
+        x = rng.standard_normal((f, h, w, c)).astype(dtype)
         p = ConvParams(
             rng.standard_normal((c, 3, 3)).astype(dtype), rng.standard_normal(c).astype(dtype)
         )
 
-        conv = depthwise_conv3x3(first, p)
-        assert conv.shape == (f, c, h, w)
-        assert np.array_equal(depthwise_conv3x3(last, p), conv)
-        assert np.array_equal(conv, conv_reference(first, p))
+        conv = depthwise_conv3x3(x, p)
+        assert conv.shape == (f, h, w, c)
+        assert np.array_equal(conv, conv_reference(x, p))
 
-        pooled = adaptive_avg_pool2d(first, hr, wr)
-        assert pooled.shape == (f, c, hr, wr)
-        assert np.array_equal(adaptive_avg_pool2d(last, hr, wr), pooled)
-        oracle = np.stack([pool_oracle(frame, hr, wr) for frame in first])
+        pooled = adaptive_avg_pool2d(x, hr, wr)
+        assert pooled.shape == (f, hr, wr, c)
+        oracle = np.stack([pool_oracle(frame, hr, wr) for frame in x])
         assert np.allclose(pooled, oracle, rtol=0, atol=1e-6)
 
-
-class TestOperatorProperties:
     @settings(max_examples=60, deadline=None)
     @given(**GEOMETRY)
     def test_conv_adjointness(self, seed, f, c, h, w, data):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((f, c, h, w))
-        g = rng.standard_normal((f, c, h, w))
+        x = rng.standard_normal((f, h, w, c))
+        g = rng.standard_normal((f, h, w, c))
         p = ConvParams(rng.standard_normal((c, 3, 3)), np.zeros(c))
         lhs = np.vdot(depthwise_conv3x3(x, p), g)
         rhs = np.vdot(x, conv_grad(x, p, g)[0])
         assert abs(lhs - rhs) < 1e-10
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 40), data=st.data())
-    def test_pool_matrix_rows_sum_to_one(self, n, data):
-        r = data.draw(st.integers(1, n))
-        m = numerics._pool_matrix(n, r, np.dtype(np.float64))
-        assert np.allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(value=st.floats(-1e6, 1e6), **GEOMETRY)
     def test_constant_pools_to_itself(self, value, seed, f, c, h, w, data):
         hr, wr = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
-        x = np.full((f, c, h, w), value)
+        x = np.full((f, h, w, c), value)
         assert np.allclose(adaptive_avg_pool2d(x, hr, wr), value, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("value", [5e-324, 1e-310])
     @pytest.mark.parametrize("h,w,hr,wr", [(1, 2, 1, 1), (3, 3, 2, 2), (5, 7, 3, 2)])
     def test_subnormal_constant_pools_to_itself(self, value, h, w, hr, wr):
         # summing before the one division keeps the subnormal from rounding to 0
-        x = np.full((1, 2, h, w), value)
-        assert np.array_equal(adaptive_avg_pool2d(x, hr, wr), np.full((1, 2, hr, wr), value))
+        x = np.full((1, h, w, 2), value)
+        assert np.array_equal(adaptive_avg_pool2d(x, hr, wr), np.full((1, hr, wr, 2), value))
 
 
 class TestGeluInPlace:
