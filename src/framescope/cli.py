@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import gradcheck as gc
-from .errors import ArgumentError, FrameScopeError
+from .errors import ArgumentError, FrameScopeError, ShapeError
 from .features import (
     EncoderSpec,
     FrameFeatures,
@@ -80,13 +80,13 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         with open(args.config) as f:
             try:
-                cfg = PipelineConfig.from_dict(json.load(f))
-            except json.JSONDecodeError as exc:
+                d = json.load(f)
+            except (ValueError, RecursionError) as exc:  # bad JSON, text or nesting depth
                 raise ArgumentError(f"config {args.config} is not valid JSON: {exc}") from None
-            except KeyError as exc:
-                raise ArgumentError(f"config {args.config} is missing key {exc}") from None
-            except (AttributeError, LookupError, TypeError, ValueError) as exc:
-                raise ArgumentError(f"config {args.config} is invalid: {exc}") from None
+        try:
+            cfg = PipelineConfig.from_dict(d)
+        except (ArgumentError, ShapeError) as exc:
+            raise ArgumentError(f"config {args.config} is invalid: {exc}") from None
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed

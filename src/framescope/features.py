@@ -26,7 +26,8 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -140,8 +141,65 @@ def json_int(value, key: str) -> int:
     return int(value)
 
 
+def _json_field(kind, value, key: str):
+    """The JSON value of field ``key``, read as its annotation ``kind``."""
+    if kind is int:
+        return json_int(value, key)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ArgumentError(f"{key} must be a string, got {value!r}")
+        return value
+    if kind == tuple[int, int]:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ArgumentError(f"{key} must be a list of two integers, got {value!r}")
+        return (json_int(value[0], key), json_int(value[1], key))
+    if kind == int | None:
+        return None if value is None else json_int(value, key)
+    return kind.from_dict(value, key)
+
+
+class JsonConfig:
+    """JSON form of a frozen config dataclass: one key per field.
+
+    ``to_dict`` writes tuples as lists and nested configs as objects.
+    ``from_dict`` reads exactly those keys, each by its field annotation;
+    fields with a default may be absent.  A non-object, an unknown, missing
+    or mistyped key, or a value the dataclass refuses raises ArgumentError
+    naming the key path, such as ``image_encoder.grid``.
+    """
+
+    def to_dict(self) -> dict:
+        return asdict(
+            self, dict_factory=lambda kv: {k: list(v) if isinstance(v, tuple) else v for k, v in kv}
+        )
+
+    @classmethod
+    def from_dict(cls, d, path: str = ""):
+        if not isinstance(d, dict):
+            where = path or "the top level"
+            raise ArgumentError(f"{where} must be an object, got {type(d).__name__}")
+        prefix = f"{path}." if path else ""
+        known = {f.name: f for f in fields(cls)}
+        unknown = [key for key in d if key not in known]
+        if unknown:
+            raise ArgumentError(f"unknown key '{prefix}{unknown[0]}'")
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for name, f in known.items():
+            if name in d:
+                kwargs[name] = _json_field(hints[name], d[name], prefix + name)
+            elif f.default is MISSING:
+                raise ArgumentError(f"missing key '{prefix}{name}'")
+        try:
+            return cls(**kwargs)
+        except ArgumentError as exc:
+            if not path:
+                raise
+            raise ArgumentError(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
-class EncoderSpec:
+class EncoderSpec(JsonConfig):
     """Geometry of one encoder stand-in."""
 
     name: str
@@ -155,27 +213,12 @@ class EncoderSpec:
             raise ArgumentError(
                 f"encoder grid and depth must be positive, got {self.grid} x {self.depth}"
             )
+        if self.input_resolution < 1:
+            raise ArgumentError(f"input_resolution must be >= 1, got {self.input_resolution}")
 
     @property
     def tokens_per_frame(self) -> int:
         return self.grid[0] * self.grid[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": list(self.grid),
-            "depth": self.depth,
-            "input_resolution": self.input_resolution,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderSpec":
-        return EncoderSpec(
-            name=d["name"],
-            grid=(json_int(d["grid"][0], "grid"), json_int(d["grid"][1], "grid")),
-            depth=json_int(d["depth"], "depth"),
-            input_resolution=json_int(d.get("input_resolution", 224), "input_resolution"),
-        )
 
 
 DEFAULT_IMAGE_SPEC = EncoderSpec("synthetic-image", (14, 14), 768)

@@ -378,6 +378,8 @@ def pool_grad(in_shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
     g is divided once by the region sizes, then spread back over the
     columns by ``S_w^T`` and over the rows by ``S_h^T``.
     """
+    if len(in_shape) < 3:
+        raise ShapeError(f"pool_grad needs an (..., H, W, C) input shape, got {tuple(in_shape)}")
     *lead, h, w, c = in_shape
     if g.ndim != len(in_shape) or g.shape[:-3] != tuple(lead) or g.shape[-1] != c:
         raise ShapeError(f"gradient {g.shape} does not match input {tuple(in_shape)}")
@@ -396,6 +398,8 @@ def conv_grad(
     are skipped, not multiplied by padding; dkernel and dbias sum the
     frames in order.
     """
+    if x.ndim < 3:
+        raise ShapeError(f"conv_grad needs (..., H, W, C), got {x.shape}")
     if g.shape != x.shape:
         raise ShapeError(f"upstream gradient {g.shape} does not match input {x.shape}")
     *batch, _, _, c = x.shape

@@ -19,9 +19,8 @@ bytes, across runs and processes.
 from __future__ import annotations
 
 import functools
-import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import ArgumentError, ShapeError
 from .features import (
     EncoderSpec,
     FrameFeatures,
-    json_int,
+    JsonConfig,
     read_features,
     splitmix64,
     synth_image_features,
@@ -66,7 +65,7 @@ _MASK64 = (1 << 64) - 1
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonConfig):
     """Full run configuration; construct via make_config for the defaults."""
 
     frames: int
@@ -83,6 +82,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ArgumentError(f"frames must be >= 1, got {self.frames}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
         if not (1 <= self.keyframes <= self.frames):
             raise ArgumentError(
                 f"keyframes must satisfy 1 <= K <= {self.frames}, got {self.keyframes}"
@@ -133,44 +134,15 @@ class PipelineConfig:
         return self.has_video_branch and self.frame_selection == ATTENTION_BASED
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "frames": self.frames,
-            "keyframes": self.keyframes,
-            "frame_selection": self.frame_selection,
-            "projector_kind": self.projector_kind,
-            "branch_mode": self.branch_mode,
-            "seed": self.seed,
-            "image_encoder": self.image_encoder.to_dict(),
-            "video_encoder": self.video_encoder.to_dict(),
-            "image_projector": self.image_projector.to_dict(),
-            "video_projector": self.video_projector.to_dict(),
-        }
+        return {"schema": CONFIG_SCHEMA, **super().to_dict()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "PipelineConfig":
-        schema = d.get("schema", CONFIG_SCHEMA)
-        if schema != CONFIG_SCHEMA:
-            raise ArgumentError(f"unsupported config schema {schema!r}")
-        return PipelineConfig(
-            frames=json_int(d["frames"], "frames"),
-            keyframes=json_int(d["keyframes"], "keyframes"),
-            frame_selection=d["frame_selection"],
-            projector_kind=d["projector_kind"],
-            branch_mode=d["branch_mode"],
-            seed=json_int(d["seed"], "seed"),
-            image_encoder=EncoderSpec.from_dict(d["image_encoder"]),
-            video_encoder=EncoderSpec.from_dict(d["video_encoder"]),
-            image_projector=ProjectorConfig.from_dict(d["image_projector"]),
-            video_projector=ProjectorConfig.from_dict(d["video_projector"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PipelineConfig":
-        return PipelineConfig.from_dict(json.loads(text))
+    @classmethod
+    def from_dict(cls, d, path: str = "") -> "PipelineConfig":
+        if isinstance(d, dict) and "schema" in d:
+            if d["schema"] != CONFIG_SCHEMA:
+                raise ArgumentError(f"unsupported config schema {d['schema']!r}")
+            d = {key: value for key, value in d.items() if key != "schema"}
+        return super().from_dict(d, path)
 
 
 def default_keyframes(frames: int) -> int:
@@ -260,11 +232,7 @@ class TokenBudget:
         return self.image_tokens + self.video_tokens
 
     def to_dict(self) -> dict:
-        return {
-            "image_tokens": self.image_tokens,
-            "video_tokens": self.video_tokens,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 def token_budget(cfg: PipelineConfig) -> TokenBudget:
@@ -288,13 +256,7 @@ class MacReport:
         return self.scoring + self.image_projection + self.video_projection + self.fusion
 
     def to_dict(self) -> dict:
-        return {
-            "scoring": self.scoring,
-            "image_projection": self.image_projection,
-            "video_projection": self.video_projection,
-            "fusion": self.fusion,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 def mac_report(cfg: PipelineConfig) -> MacReport:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .features import (
     FrameFeatures,
-    json_int,
+    JsonConfig,
     read_features,
     splitmix64,
     stream_values,
@@ -52,7 +52,7 @@ MLP_PROJ = "mlp_proj"
 
 
 @dataclass(frozen=True)
-class ProjectorConfig:
+class ProjectorConfig(JsonConfig):
     """Shape contract of one projector instance."""
 
     kind: str
@@ -101,27 +101,6 @@ class ProjectorConfig:
         pool = self.c_out * hr * wr
         conv = 9 * self.c_out * hr * wr
         return ffn + pool + conv
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "c_in": self.c_in,
-            "c_hidden": self.c_hidden,
-            "c_out": self.c_out,
-            "grid_in": list(self.grid_in),
-            "grid_out": list(self.grid_out),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ProjectorConfig":
-        return ProjectorConfig(
-            kind=d["kind"],
-            c_in=json_int(d["c_in"], "c_in"),
-            c_out=json_int(d["c_out"], "c_out"),
-            grid_in=(json_int(d["grid_in"][0], "grid_in"), json_int(d["grid_in"][1], "grid_in")),
-            grid_out=(json_int(d["grid_out"][0], "grid_out"), json_int(d["grid_out"][1], "grid_out")),
-            c_hidden=json_int(d["c_hidden"], "c_hidden") if d.get("c_hidden") is not None else None,
-        )
 
 
 # Learnable state of one projector: tensor role ("ffn1.weight", ...) -> array, in file order.
@@ -299,13 +278,16 @@ def save_projector(dirpath, cfg: ProjectorConfig, params: ProjectorParams) -> No
 def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
     """Load a projector saved by save_projector.
 
-    Raises ArgumentError, naming the manifest, for another schema id, missing
-    keys or tensor roles or an invalid config, and ShapeError for a tensor
-    whose shape disagrees with the manifest's config.
+    Raises ArgumentError naming the manifest for a non-object, another schema
+    id, missing keys or roles, an invalid config or a bad tensor file name
+    (not a string, or holding a NUL), and ShapeError for a tensor whose shape
+    disagrees with the config.
     """
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ArgumentError(f"projector manifest {path} must be an object")
     missing = [key for key in ("schema", "config", "tensors") if key not in manifest]
     if missing:
         raise ArgumentError(f"projector manifest {path} is missing keys: {missing}")
@@ -315,18 +297,21 @@ def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
             f"expected {MANIFEST_SCHEMA!r}"
         )
     try:
-        cfg = ProjectorConfig.from_dict(manifest["config"])
-    except KeyError as exc:
-        raise ArgumentError(f"projector manifest {path} config is missing key {exc}") from None
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"projector manifest {path} has an invalid config: {exc}") from None
+        cfg = ProjectorConfig.from_dict(manifest["config"], "config")
+    except (ArgumentError, ShapeError) as exc:
+        raise ArgumentError(f"projector manifest {path} is invalid: {exc}") from None
+    files = manifest["tensors"]
+    if not isinstance(files, dict) or not all(
+        isinstance(name, str) and "\0" not in name for name in files.values()
+    ):
+        raise ArgumentError(f"projector manifest {path}: tensors must map roles to file names")
     shapes = role_shapes(cfg)
-    missing = [role for role in shapes if role not in manifest["tensors"]]
+    missing = [role for role in shapes if role not in files]
     if missing:
         raise ArgumentError(f"manifest is missing tensor roles: {missing}")
     params = {}
     for role, shape in shapes.items():
-        params[role] = read_features(os.path.join(dirpath, manifest["tensors"][role]))
+        params[role] = read_features(os.path.join(dirpath, files[role]))
         if params[role].shape != shape:
             raise ShapeError(
                 f"tensor {role} has shape {params[role].shape} but the manifest "

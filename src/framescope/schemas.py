@@ -5,12 +5,15 @@ version; these dicts are standard JSON Schema (draft 2020-12) and are what
 the test suite validates reports against.
 """
 
+_GRID = {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2, "maxItems": 2}
+
 _ENCODER = {
     "type": "object",
+    "additionalProperties": False,
     "required": ["name", "grid", "depth", "input_resolution"],
     "properties": {
         "name": {"type": "string"},
-        "grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "grid": _GRID,
         "depth": {"type": "integer", "minimum": 1},
         "input_resolution": {"type": "integer", "minimum": 1},
     },
@@ -18,19 +21,21 @@ _ENCODER = {
 
 _PROJECTOR = {
     "type": "object",
+    "additionalProperties": False,
     "required": ["kind", "c_in", "c_hidden", "c_out", "grid_in", "grid_out"],
     "properties": {
         "kind": {"enum": ["et_proj", "mlp_proj"]},
         "c_in": {"type": "integer", "minimum": 1},
         "c_hidden": {"type": "integer", "minimum": 1},
         "c_out": {"type": "integer", "minimum": 1},
-        "grid_in": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "grid_out": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "grid_in": _GRID,
+        "grid_out": _GRID,
     },
 }
 
 PIPELINE_CONFIG = {
     "type": "object",
+    "additionalProperties": False,
     "required": [
         "schema", "frames", "keyframes", "frame_selection", "projector_kind",
         "branch_mode", "seed", "image_encoder", "video_encoder",

@@ -1,5 +1,8 @@
 """CLI surface: JSON reports, schema conformance, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -8,9 +11,12 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framescope import cli, pipeline, schemas
 from framescope.cli import main
+from framescope.errors import FrameScopeError
 from framescope.features import read_features
 
 
@@ -202,7 +208,7 @@ class TestRun:
                           video_grid=(3, 3), video_depth=4, video_grid_out=(1, 1),
                           embed_width=5, seed=2)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg.to_dict()))
         report = parse_report(capsys, "run", "--config", str(path), schema=schemas.RUN_REPORT)
         assert report["config"] == cfg.to_dict()
 
@@ -231,6 +237,11 @@ class TestRun:
         message = parse_error(capsys, "run", "--config", str(path))
         assert str(path) in message
 
+    def test_deeply_nested_config_fails_with_json_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert str(path) in parse_error(capsys, "budget", "--config", str(path))
+
     def test_config_missing_key_fails_with_json_error(self, capsys, tmp_path):
         from framescope.pipeline import make_config
 
@@ -245,23 +256,51 @@ class TestRun:
         parse_error(capsys, "run", "--features", str(nan_file), error_type="NonFiniteValueError")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, key",
         [
-            lambda d: {**d, "frames": "abc"},
-            lambda d: {**d, "image_encoder": {**d["image_encoder"], "grid": [14]}},
-            lambda d: {**d, "frames": None},
-            lambda d: {**d, "image_projector": "x"},
-            lambda d: [d],
+            (lambda d: {**d, "frames": "abc"}, "frames"),
+            (lambda d: {**d, "image_encoder": {**d["image_encoder"], "grid": [14]}},
+             "image_encoder.grid"),
+            (lambda d: {**d, "frames": None}, "frames"),
+            (lambda d: {**d, "image_projector": "x"}, "image_projector"),
+            (lambda d: [d], "top level"),
+            (lambda d: {**d, "image_encoder": {**d["image_encoder"], "grid": 14}},
+             "image_encoder.grid"),
+            (lambda d: {**d, "video_encoder": {**d["video_encoder"], "grid": [14, 14, 3]}},
+             "video_encoder.grid"),
+            (lambda d: {**d, "image_encoder": {**d["image_encoder"], "name": 5}},
+             "image_encoder.name"),
+            (lambda d: {**d, "keyframe": 2}, "'keyframe'"),
+            (lambda d: {**d, "video_projector": {**d["video_projector"], "stride": 2}},
+             "'video_projector.stride'"),
+            (lambda d: {**d, "video_encoder": {**d["video_encoder"], "input_resolution": 0}},
+             "video_encoder: input_resolution"),
+            (lambda d: {**d, "seed": -1}, "seed"),
         ],
-        ids=["text_frames", "short_grid", "null_frames", "projector_string", "top_level_list"],
+        ids=["text_frames", "short_grid", "null_frames", "projector_string", "top_level_list",
+             "scalar_grid", "long_grid", "number_name", "unknown_key", "unknown_nested_key",
+             "zero_resolution", "negative_seed"],
     )
-    def test_invalid_config_value_fails_with_json_error(self, capsys, tmp_path, edit):
+    def test_invalid_config_value_fails_with_json_error(self, capsys, tmp_path, edit, key):
         from framescope.pipeline import make_config
 
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edit(make_config(frames=4).to_dict())))
         message = parse_error(capsys, "budget", "--config", str(path))
-        assert str(path) in message
+        assert str(path) in message and key in message
+
+    def test_negative_seed_flag_fails_without_a_report(self, capsys):
+        assert "seed must be >= 0" in parse_error(capsys, "run", "--seed", "-1")
+
+    def test_defaulted_fields_may_be_omitted(self, capsys, tmp_path):
+        from framescope.pipeline import make_config
+
+        d = make_config(frames=4).to_dict()
+        del d["image_encoder"]["input_resolution"], d["video_projector"]["c_hidden"]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(d))
+        report = parse_report(capsys, "run", "--config", str(path), schema=schemas.RUN_REPORT)
+        assert report["config"] == make_config(frames=4).to_dict()
 
     @pytest.mark.parametrize(
         "keys, value",
@@ -462,6 +501,104 @@ class TestBench:
         assert "--repeat" in message
 
 
+# JSON values a mutation writes in place of a field
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 40),
+                     st.floats(-2, 40), st.text(max_size=4))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
+
+
+def _paths(node, path=()):
+    """The key path of every value in a JSON document, the root's ``()`` first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(value, (*path, key))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` after one to three edits.
+
+    Each edit drops, retypes, nests or truncates a value, or adds a key.
+    """
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]] if path else doc
+        op = draw(st.sampled_from(["drop", "retype", "nest", "truncate", "add"]))
+        if op == "add":
+            if isinstance(value, dict):
+                value[draw(st.text(max_size=8))] = draw(_VALUES)
+            continue
+        if op == "drop":
+            if path:
+                del parent[path[-1]]
+            continue
+        if op == "retype":
+            value = draw(_VALUES)
+        elif op == "nest":
+            value = draw(st.sampled_from([[value], {"value": value}]))
+        elif isinstance(value, (list, str, dict)):
+            n = draw(st.integers(0, max(len(value) - 1, 0)))
+            value = dict(list(value.items())[:n]) if isinstance(value, dict) else value[:n]
+        if path:
+            parent[path[-1]] = value
+        else:
+            doc = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@pytest.fixture(scope="module")
+def saved_projector(tmp_path_factory):
+    """A saved projector's directory and its manifest as written."""
+    from framescope.projector import ProjectorConfig, init_projector_params, save_projector
+
+    path = tmp_path_factory.mktemp("manifest_fuzz")
+    cfg = ProjectorConfig("et_proj", 5, 4, (3, 3), (2, 2), 6)
+    save_projector(path, cfg, init_projector_params(cfg, 11))
+    return path, json.loads((path / "manifest.json").read_text())
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_is_read_or_fails_with_one_json_line(self, fuzz_dir, data):
+        from framescope.pipeline import make_config
+
+        path = fuzz_dir / "cfg.json"
+        path.write_text(json.dumps(data.draw(mutated(make_config(frames=4).to_dict()))))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["budget", "--config", str(path)])
+        if code == 0:
+            jsonschema.validate(json.loads(out.getvalue()), schemas.BUDGET_REPORT)
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+            jsonschema.validate(json.loads(err.getvalue()), schemas.ERROR_REPORT)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_loads_or_raises_a_package_error(self, saved_projector, data):
+        from framescope.projector import load_projector
+
+        path, manifest = saved_projector
+        (path / "manifest.json").write_text(json.dumps(data.draw(mutated(manifest))))
+        try:
+            load_projector(path)
+        except (FrameScopeError, OSError):
+            pass
+
+
 class TestProcessLevel:
     def test_usage_error_is_json_and_exit_2(self):
         proc = subprocess.run(
@@ -490,3 +627,17 @@ class TestProcessLevel:
             assert proc.returncode == 0
             digests.add(json.loads(proc.stdout)["digest"])
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_digests_and_keyframes_do_not_depend_on_blas_threads(self, threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        reports = [
+            json.loads(subprocess.run(
+                [sys.executable, "-m", "framescope", "run", *argv],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout)
+            for argv in ([], ["--frames", "32", "-K", "4", "--branch", "video"])
+        ]
+        assert reports[0]["digest"] == "2ece75f6ec61f24a"
+        assert reports[1]["digest"] == "7e7c9582c33cdbb3"
+        assert reports[1]["keyframes"] == [17, 22, 25, 30]

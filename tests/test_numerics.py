@@ -390,6 +390,10 @@ class TestBatchedKernels:
             adaptive_avg_pool2d(np.zeros((4, 4)), 2, 2)
         with pytest.raises(ShapeError):
             depthwise_conv3x3(np.zeros((4, 4)), p)
+        with pytest.raises(ShapeError, match=r"\(4, 4\)"):
+            conv_grad(np.zeros((4, 4)), p, np.zeros((4, 4)))
+        with pytest.raises(ShapeError, match=r"\(4, 4\)"):
+            pool_grad((4, 4), np.zeros((2, 2)))
 
 
 def conv_reference(x, p):

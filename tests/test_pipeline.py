@@ -1,5 +1,7 @@
 """End-to-end pipeline: budgets, MAC accounting, determinism, stage plan."""
 
+import json
+import re
 import time
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from framescope import pipeline
 from framescope.errors import ArgumentError, ShapeError
-from framescope.features import synth_image_features, write_features
+from framescope.features import EncoderSpec, synth_image_features, write_features
 from framescope.numerics import count_macs
 from framescope.pipeline import (
     ATTENTION_BASED,
@@ -275,7 +277,7 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = make_config(seed=5, projector_kind="mlp_proj", branch_mode=VIDEO_ONLY,
                           frame_selection=NO_SELECTION)
-        assert PipelineConfig.from_json(cfg.to_json()) == cfg
+        assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_keyframes_default_to_half(self):
         assert make_config(frames=16).keyframes == 8
@@ -295,6 +297,41 @@ class TestConfig:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ArgumentError):
             PipelineConfig.from_dict({**default_config().to_dict(), "schema": "nope/v9"})
+
+    def test_schema_key_is_optional(self):
+        d = default_config().to_dict()
+        del d["schema"]
+        assert PipelineConfig.from_dict(d) == default_config()
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("image_encoder", "grid", [14, 14.5], "image_encoder.grid must be an integer"),
+            ("video_encoder", "depth", None, "video_encoder.depth must be an integer"),
+            ("video_projector", "grid_out", [7, 7, 1], "video_projector.grid_out must be a list"),
+            ("image_projector", "kind", "conv", "image_projector: unknown projector kind"),
+            ("image_projector", "c_hidden", 0, "image_projector: channel widths"),
+            ("image_encoder", "depth", ..., "missing key 'image_encoder.depth'"),
+        ],
+        ids=["fractional_grid", "null_depth", "long_grid_out", "unknown_kind", "zero_hidden",
+             "missing_depth"],
+    )
+    def test_nested_error_names_the_key_path(self, section, key, value, named):
+        d = default_config().to_dict()
+        if value is ...:
+            del d[section][key]
+        else:
+            d[section][key] = value
+        with pytest.raises(ArgumentError, match=re.escape(named)):
+            PipelineConfig.from_dict(d)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ArgumentError, match="seed must be >= 0"):
+            make_config(seed=-1)
+
+    def test_zero_input_resolution_rejected(self):
+        with pytest.raises(ArgumentError, match="input_resolution"):
+            EncoderSpec("vit", (14, 14), 768, input_resolution=0)
 
 
 class TestStagePlan:

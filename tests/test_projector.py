@@ -335,6 +335,23 @@ class TestLoadValidation:
         with pytest.raises(ArgumentError, match=key):
             load_projector(saved)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: [m],
+            lambda m: {**m, "tensors": list(m["tensors"].values())},
+            lambda m: {**m, "tensors": {**m["tensors"], "ffn1.weight": 3}},
+            lambda m: {**m, "tensors": {**m["tensors"], "ffn2.bias": "ffn2_bias\0.mvgf"}},
+        ],
+        ids=["manifest_list", "tensors_list", "number_file_name", "nul_file_name"],
+    )
+    def test_malformed_manifest_named(self, saved, edit):
+        path = saved / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ArgumentError, match="manifest.json") as info:
+            load_projector(saved)
+        assert type(info.value) is ArgumentError
+
     def test_missing_config_key_named(self, saved):
         self.edit_manifest(saved, lambda m: m["config"].pop("c_in"))
         with pytest.raises(ArgumentError, match="c_in"):
