@@ -1,9 +1,10 @@
 """Attention-based frame scoring and top-K key-frame selection.
 
 Every token attends over all tokens of all frames; a frame's importance is
-the attention mass its tokens receive.  The scorer streams over row blocks
-and reproduces the column sums of the dense attention matrix without
-materializing S x S.
+the attention mass its tokens receive.  The scorer forms each pair of
+frame-aligned blocks of the symmetric logit matrix once, normalises rows
+online, and reproduces the column sums of the dense attention matrix
+without materializing S x S.
 """
 
 import numpy as np

@@ -44,7 +44,14 @@ from .projector import (
     init_projector_params,
     project_branch,
 )
-from .selection import FrameScore, KeyFrameSet, frame_scores, top_k_frames, uniform_sample_indices
+from .selection import (
+    FrameScore,
+    KeyFrameSet,
+    _block_plan,
+    frame_scores,
+    top_k_frames,
+    uniform_sample_indices,
+)
 
 ATTENTION_BASED = "attention_based"
 NO_SELECTION = "none"
@@ -262,14 +269,21 @@ class MacReport:
 def mac_report(cfg: PipelineConfig) -> MacReport:
     """Analytic multiply counts; exact integers, equal to the instrumented kernels.
 
-    scoring: S^2 * D_f attention-logit multiplies over S = T * H * W image
-    tokens, as ``frame_scores`` computes them (softmax exponentials and
-    the 1/sqrt(D_f) scaling are not modeled).  Projection stages follow
+    scoring: the attention-logit multiplies ``frame_scores`` executes over
+    S = T * H * W image tokens: ``sum_{i <= j} n_i * n_j * D_f`` over the
+    blocks of its frame-aligned block plan, whose sizes ``n_i`` sum to S
+    (softmax exponentials and the 1/sqrt(D_f) scaling are not modeled).
+    That is (S^2 + sum_i n_i^2) / 2 * D_f: 4,720,558,080 at the default
+    16 frames of 14 x 14 tokens, against S^2 * D_f = 7,552,892,928 for
+    the full matrix.  Projection stages follow
     ``ProjectorConfig.macs_per_frame``; fusion is pure concatenation and
     costs nothing.
     """
-    s = cfg.frames * cfg.image_encoder.tokens_per_frame
-    scoring = s * s * cfg.image_encoder.depth if cfg.scoring_active else 0
+    per_frame = cfg.image_encoder.tokens_per_frame
+    s = cfg.frames * per_frame
+    blocks = _block_plan(cfg.frames, per_frame)
+    pairs = sum((f1 - f0) * per_frame * (s - f0 * per_frame) for f0, f1 in blocks)
+    scoring = pairs * cfg.image_encoder.depth if cfg.scoring_active else 0
     image = cfg.frames * cfg.image_projector.macs_per_frame() if cfg.has_image_branch else 0
     video = cfg.keyframes * cfg.video_projector.macs_per_frame() if cfg.has_video_branch else 0
     return MacReport(scoring=scoring, image_projection=image, video_projection=video, fusion=0)

@@ -278,14 +278,18 @@ def save_projector(dirpath, cfg: ProjectorConfig, params: ProjectorParams) -> No
 def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
     """Load a projector saved by save_projector.
 
-    Raises ArgumentError naming the manifest for a non-object, another schema
-    id, missing keys or roles, an invalid config or a bad tensor file name
-    (not a string, or holding a NUL), and ShapeError for a tensor whose shape
+    Raises ArgumentError naming the manifest for text that is not JSON, a
+    non-object, another schema id, missing keys or roles, an invalid config
+    or a bad tensor file name (not a string, holding a NUL, absolute, or
+    resolving outside ``dirpath``), and ShapeError for a tensor whose shape
     disagrees with the config.
     """
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise ArgumentError(f"projector manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ArgumentError(f"projector manifest {path} must be an object")
     missing = [key for key in ("schema", "config", "tensors") if key not in manifest]
@@ -309,9 +313,16 @@ def load_projector(dirpath) -> tuple[ProjectorConfig, ProjectorParams]:
     missing = [role for role in shapes if role not in files]
     if missing:
         raise ArgumentError(f"manifest is missing tensor roles: {missing}")
+    root = os.path.realpath(dirpath)
     params = {}
     for role, shape in shapes.items():
-        params[role] = read_features(os.path.join(dirpath, files[role]))
+        file = os.path.realpath(os.path.join(root, files[role]))
+        if os.path.isabs(files[role]) or os.path.commonpath([root, file]) != root:
+            raise ArgumentError(
+                f"projector manifest {path}: tensor {role} file {files[role]!r} "
+                f"is outside the projector directory"
+            )
+        params[role] = read_features(file)
         if params[role].shape != shape:
             raise ShapeError(
                 f"tensor {role} has shape {params[role].shape} but the manifest "

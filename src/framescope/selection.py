@@ -6,20 +6,24 @@ the attention each token *receives* (column sums).  A frame's score is the
 total received attention of its tokens.  Each attending token distributes
 exactly one unit of mass, so the scores sum to S.
 
-One streaming scorer accumulates column sums without ever holding S x S
+One scorer accumulates column sums without ever holding S x S
 (``spatial_attention`` returns the full S x S matrix for callers that
-want it).  It is cache-blocked at two levels, as in tiled row-softmax
-reductions: one reused 512-row block buffer takes each GEMM, and the
-softmax work walks that block in 32-row slices small enough to stay in
-a core's L2 cache, in block and slice order.
+want it).  The logit matrix is symmetric, so the scorer cuts the tokens
+into frame-aligned blocks of at most 784 rows and forms each block pair
+(i, j) with j >= i once, by one GEMM into one reused buffer: about half
+of the S^2 * D_f multiplies.  Each block serves the rows of i over the
+columns of j and, transposed, the rows of j over the columns of i, so a
+row meets its columns a block at a time and its softmax is normalised
+online, with a running max per row (Milakov & Gimelshein 2018, the
+normaliser FlashAttention uses).
 
 Attention logits and their exponentials are computed in the feature
-dtype, in place in the block buffer.  One product against a ones vector
-reduces each slice to per-frame partial sums, still in the feature
-dtype; those (rows, T) partials are widened to float64, each row is
-divided by the sum of its own partials and the rows are added into a
-float64 accumulator of length T, so mass conservation holds to ~1e-12
-even at realistic S.
+dtype.  One product against a ones vector reduces each slice of
+exponentials to per-frame partial sums, still in the feature dtype;
+those are widened to float64 into an (S, T) table of partials, rescaled
+there when a row's max rises, and each row is divided by the sum of its
+own partials before the rows are added, so mass conservation holds to
+~1e-12 even at realistic S.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .errors import ArgumentError
 from .features import FrameFeatures
 from .numerics import matmul, softmax_rows
 
-_STREAM_BLOCK_ROWS = 512  # query rows per GEMM; each block repacks flat.T once
-_SLICE_ROWS = 32  # softmax rows per slice: 800 KB of float32 at S = 6272, fits L2
+_BLOCK_ROWS = 784  # row budget of a scorer block: four frames of 14 x 14 tokens
+_SLICE_ROWS = 196  # row budget of a slice: 600 KB of float32 per 784-column block, fits L2
 
 
 @dataclass
@@ -93,6 +97,8 @@ def _flat_tokens(features: FrameFeatures | np.ndarray) -> tuple[np.ndarray, int,
     tensor = features.tensor if isinstance(features, FrameFeatures) else np.asarray(features)
     if tensor.ndim != 4:
         raise ArgumentError(f"expected (T, H, W, D) features, got shape {tensor.shape}")
+    if min(tensor.shape) < 1:
+        raise ArgumentError(f"feature dims must be positive, got shape {tensor.shape}")
     t, h, w, d = tensor.shape
     return tensor.reshape(t * h * w, d), t, h * w
 
@@ -111,40 +117,88 @@ def spatial_attention(features: FrameFeatures | np.ndarray) -> np.ndarray:
     return softmax_rows(logits)
 
 
+def _block_plan(frames: int, tokens_per_frame: int) -> list[tuple[int, int]]:
+    """Frame ranges ``[f0, f1)`` of the scorer's blocks, in order.
+
+    Each block holds as many whole frames as fit in ``_BLOCK_ROWS`` token
+    rows, and at least one frame, so a frame larger than the budget is a
+    block of its own.  ``pipeline.mac_report`` counts the scorer's GEMMs
+    from this plan.
+    """
+    step = max(1, _BLOCK_ROWS // tokens_per_frame)
+    return [(f, min(f + step, frames)) for f in range(0, frames, step)]
+
+
 def frame_scores(features: FrameFeatures | np.ndarray) -> FrameScore:
     """Attention mass received per frame: the per-frame column sums of ``spatial_attention``.
 
-    Never allocates S x S.  Each 512-row block of logits is written into
-    one reused buffer; each 32-row slice of it gets its exponentials in
-    place in the feature dtype and is reduced to per-frame sums by one
-    plain product with a ones vector (an epilogue outside the MAC model,
-    so ``count_macs`` sees only the GEMMs).  Each row of those sums is
-    widened to float64 and divided by its total, which is the row's
-    softmax denominator.
+    The logit matrix ``F F^T`` is symmetric, so only the blocks (i, j)
+    with j >= i of ``_block_plan`` are formed, each by one GEMM into one
+    reused buffer.  An off-diagonal block serves two sets of rows: the
+    rows of i over the columns of j, and, transposed, the rows of j over
+    the columns of i.  A row's softmax therefore sees its columns a block
+    at a time, and is normalised online (Milakov & Gimelshein 2018): each
+    row keeps a running max of its logits, in the feature dtype, and its
+    per-frame partial sums ``P`` (S x T, float64); when the max rises, the
+    row's partials are multiplied by ``exp((m_old - m_new) * scale)`` in
+    float64.  A frame's score is ``sum_r P[r, f] / sum_f' P[r, f']``.
+
+    Each block is walked in slices of whole frames of i.  The transposed
+    side of a slice is exponentiated into a small slice buffer and reduced
+    over each frame of i by a product with a ones vector; the row side is
+    then exponentiated in place and reduced over each frame of j the same
+    way (plain products, outside the MAC model, so ``count_macs`` sees
+    only the block GEMMs).  Logits and exponentials stay in the feature dtype; the per-frame
+    sums are widened to float64.  Memory is O(budget^2 + S * T): the
+    block buffer, the slice buffer, the partials and the running max.
     """
-    flat, t, tokens_per_frame = _flat_tokens(features)
+    flat, t, per_frame = _flat_tokens(features)
     s, d = flat.shape
     if flat.dtype.kind != "f":
         flat = flat.astype(np.float64)
     scale = flat.dtype.type(1.0 / math.sqrt(d))
-    block = np.empty((min(_STREAM_BLOCK_ROWS, s), s), dtype=flat.dtype)
-    row_max = np.empty((_SLICE_ROWS, 1), dtype=flat.dtype)
-    ones = np.ones(tokens_per_frame, dtype=flat.dtype)
-    received = np.zeros(t, dtype=np.float64)
-    for a in range(0, s, _STREAM_BLOCK_ROWS):
-        queries = flat[a : a + _STREAM_BLOCK_ROWS]
-        rows = matmul(queries, flat.T, out=block[: queries.shape[0]])
-        for r in range(0, rows.shape[0], _SLICE_ROWS):
-            e = rows[r : r + _SLICE_ROWS]
-            n = e.shape[0]
-            np.max(e, axis=1, keepdims=True, out=row_max[:n])
-            e -= row_max[:n]
-            e *= scale
-            np.exp(e, out=e)
-            per_frame = (e.reshape(n * t, tokens_per_frame) @ ones).reshape(n, t).astype(np.float64)
-            per_frame /= per_frame.sum(axis=1, keepdims=True)
-            received += per_frame.sum(axis=0)
-    return FrameScore(received)
+    plan = _block_plan(t, per_frame)
+    widest = max(f1 - f0 for f0, f1 in plan) * per_frame
+    step = max(1, _SLICE_ROWS // per_frame)  # frames per slice
+    block = np.empty(widest * widest, dtype=flat.dtype)
+    side = np.empty(step * per_frame * widest, dtype=flat.dtype)
+    ones = np.ones(per_frame, dtype=flat.dtype)
+    row_max = np.full(s, -np.inf, dtype=flat.dtype)
+    partials = np.zeros((s, t), dtype=np.float64)
+
+    def lift(rows: slice, tile_max: np.ndarray) -> np.ndarray:
+        """Raise the running max of ``rows`` to cover a tile and rescale their partials."""
+        old = row_max[rows]
+        new = np.maximum(old, tile_max)
+        partials[rows] *= np.exp((old.astype(np.float64) - new) * float(scale))[:, None]
+        row_max[rows] = new
+        return new
+
+    for i, (f0, f1) in enumerate(plan):
+        rows = slice(f0 * per_frame, f1 * per_frame)
+        for g0, g1 in plan[i:]:
+            cols = slice(g0 * per_frame, g1 * per_frame)
+            n, m = (f1 - f0) * per_frame, (g1 - g0) * per_frame
+            logits = matmul(flat[rows], flat[cols].T, out=block[: n * m].reshape(n, m))
+            row_top = lift(rows, logits.max(axis=1))
+            col_top = lift(cols, logits.max(axis=0)) if g0 != f0 else None
+            for h0 in range(f0, f1, step):
+                h1 = min(h0 + step, f1)
+                lo, hi = (h0 - f0) * per_frame, (h1 - f0) * per_frame
+                tile = logits[lo:hi]
+                if col_top is not None:
+                    # the rows of j over frames h0:h1, taken before the row side overwrites the tile
+                    e = np.subtract(tile, col_top, out=side[: tile.size].reshape(tile.shape))
+                    e *= scale
+                    np.exp(e, out=e)
+                    partials[cols, h0:h1] = (ones @ e.reshape(h1 - h0, per_frame, m)).T
+                tile -= row_top[lo:hi, None]
+                tile *= scale
+                np.exp(tile, out=tile)
+                sums = tile.reshape(-1, per_frame) @ ones
+                partials[h0 * per_frame : h1 * per_frame, g0:g1] = sums.reshape(hi - lo, g1 - g0)
+    partials /= partials.sum(axis=1, keepdims=True)
+    return FrameScore(partials.sum(axis=0))
 
 
 def top_k_frames(score: FrameScore | np.ndarray, k: int) -> KeyFrameSet:

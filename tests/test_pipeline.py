@@ -98,8 +98,9 @@ class TestTokenBudget:
 
 class TestMacReport:
     def test_scoring_formula(self):
+        # 4 blocks of 4 frames x 196 tokens; 10 of the 16 block pairs are formed
         m = mac_report(default_config())
-        assert m.scoring == 3136 * 3136 * 768 == 7552892928
+        assert m.scoring == (3136 * 3136 + 4 * 784 * 784) // 2 * 768 == 4720558080
 
     def test_halving_keyframes_halves_video_macs(self):
         full = mac_report(make_config(frame_selection=NO_SELECTION))
@@ -130,6 +131,19 @@ class TestMacReport:
             with count_macs() as c:
                 run_pipeline(cfg)
             assert c.total == mac_report(cfg).total, kw
+
+    @pytest.mark.parametrize("projector_kind", ["et_proj", "mlp_proj"])
+    @pytest.mark.parametrize("branch_mode", [DUAL, VIDEO_ONLY])
+    @pytest.mark.parametrize("frames", [7, 17])
+    def test_counter_matches_on_ragged_block_plans(self, frames, branch_mode, projector_kind):
+        # 12 x 12 tokens put 5 frames in a block: blocks of 5 + 2 and 5 + 5 + 5 + 2 frames
+        cfg = small_config(
+            frames=frames, image_grid=(12, 12), branch_mode=branch_mode, projector_kind=projector_kind
+        )
+        with count_macs() as c:
+            run_pipeline(cfg)
+        assert c.total == mac_report(cfg).total
+        assert mac_report(cfg).scoring < (frames * 144) ** 2 * 8
 
     def test_total_is_sum_of_parts(self):
         m = mac_report(default_config())

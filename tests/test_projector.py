@@ -352,6 +352,23 @@ class TestLoadValidation:
             load_projector(saved)
         assert type(info.value) is ArgumentError
 
+    def test_corrupt_manifest_named(self, saved):
+        (saved / "manifest.json").write_text('{"schema": ')
+        with pytest.raises(ArgumentError, match="manifest.json") as info:
+            load_projector(saved)
+        assert type(info.value) is ArgumentError
+
+    @pytest.mark.parametrize("outside", ["absolute", "parent"])
+    def test_tensor_file_outside_the_directory_refused(self, saved, outside):
+        name = saved.parent / "outside.mvgf"
+        (saved / "ffn1_bias.mvgf").rename(name)
+        if outside == "parent":
+            name = "../outside.mvgf"
+        self.edit_manifest(saved, lambda m: m["tensors"].update({"ffn1.bias": str(name)}))
+        with pytest.raises(ArgumentError, match=r"manifest\.json.*ffn1\.bias") as info:
+            load_projector(saved)
+        assert type(info.value) is ArgumentError
+
     def test_missing_config_key_named(self, saved):
         self.edit_manifest(saved, lambda m: m["config"].pop("c_in"))
         with pytest.raises(ArgumentError, match="c_in"):

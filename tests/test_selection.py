@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from framescope.errors import ArgumentError
 from framescope.features import EncoderSpec, FrameFeatures, synth_image_features
 from framescope.selection import (
-    _SLICE_ROWS,
-    _STREAM_BLOCK_ROWS,
     FrameScore,
     KeyFrameSet,
+    _block_plan,
     frame_scores,
     spatial_attention,
     top_k_frames,
@@ -137,26 +136,57 @@ class TestFrameScores:
             stream = frame_scores(feats).scores
             assert np.max(np.abs(dense - stream)) < 1e-5
 
-    def test_streaming_crosses_block_boundaries(self):
-        # one token per frame; a full block, then a ragged block ending in a ragged slice
-        s = _STREAM_BLOCK_ROWS + _SLICE_ROWS + 3
-        assert s % _STREAM_BLOCK_ROWS > _SLICE_ROWS and s % _SLICE_ROWS != 0
+    @pytest.mark.parametrize(
+        "t, grid, plan",
+        [
+            (5, (14, 14), [(0, 4), (4, 5)]),
+            (17, (8, 8), [(0, 12), (12, 17)]),
+            (33, (6, 6), [(0, 21), (21, 33)]),
+        ],
+    )
+    def test_frame_counts_off_the_block_size_match_oracle(self, t, grid, plan):
+        assert _block_plan(t, grid[0] * grid[1]) == plan
+        feats = synth_image_features(t, t, EncoderSpec("synthetic-image", grid, 32))
+        assert np.max(np.abs(frame_scores(feats).scores - score_oracle(feats.tensor))) < 1e-5
+
+    def test_one_token_frames_across_a_ragged_last_block(self):
+        # 784 one-token frames per block: two full blocks and a ragged one of 37 frames
+        s = 2 * 784 + 37
+        assert _block_plan(s, 1)[-1] == (2 * 784, s)
         feats = synth_image_features(2, s, EncoderSpec("synthetic-image", (1, 1), 16))
-        dense = score_oracle(feats.tensor)
-        stream = frame_scores(feats).scores
-        assert np.max(np.abs(dense - stream)) < 1e-5
+        assert np.max(np.abs(frame_scores(feats).scores - score_oracle(feats.tensor))) < 1e-5
+
+    def test_late_high_norm_frame_raises_running_maxes(self):
+        # the last block's logits dominate, so every earlier row's max rises after its first block
+        tensor = synth_image_features(4, 8, EncoderSpec("synthetic-image", (14, 14), 16)).tensor
+        tensor[7] *= np.float32(4.0)
+        assert len(_block_plan(8, 196)) == 2
+        got = frame_scores(tensor).scores
+        assert got[7] > got[:7].max()
+        assert np.max(np.abs(got - score_oracle(tensor))) < 1e-5
+
+    def test_frame_larger_than_the_block_budget(self):
+        # 900 tokens per frame exceed the 784-row budget: one frame per block
+        assert _block_plan(3, 900) == [(0, 1), (1, 2), (2, 3)]
+        feats = synth_image_features(9, 3, EncoderSpec("synthetic-image", (30, 30), 16))
+        assert np.max(np.abs(frame_scores(feats).scores - score_oracle(feats.tensor))) < 1e-5
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2, 3), (2, 0, 2, 3), (2, 2, 2, 0)])
+    def test_empty_feature_dims_rejected(self, shape):
+        with pytest.raises(ArgumentError, match="positive"):
+            frame_scores(np.zeros(shape, dtype=np.float32))
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        t=st.integers(1, 8),
+        t=st.integers(1, 24),
         h=st.integers(1, 9),
         w=st.integers(1, 9),
         d=st.integers(1, 64),
         scale=st.floats(0.25, 4.0),
     )
     def test_both_methods_match_float64_oracle(self, seed, t, h, w, d, scale):
-        # S = t*h*w reaches 648, so the scorer's blocks split at 256 and 512
+        # S = t*h*w reaches 1944; past 784 rows the frames split into several blocks
         tensor = synth_image_features(seed, t, EncoderSpec("synthetic-image", (h, w), d)).tensor
         tensor = tensor * np.float32(scale)
         expected = score_oracle(tensor)
@@ -166,7 +196,7 @@ class TestFrameScores:
         assert np.max(np.abs(got - columns)) < 1e-5
 
     def test_realistic_geometry_matches_oracle_and_conserves_mass(self):
-        # 16 frames of 14 x 14 tokens at D = 768: S = 3136, thirteen 256-row blocks
+        # 16 frames of 14 x 14 tokens at D = 768: S = 3136, four 784-row blocks
         feats = synth_image_features(5, 16, EncoderSpec("synthetic-image", (14, 14), 768))
         fs = frame_scores(feats)
         assert abs(fs.total_mass - 16 * 196) < 1e-9
@@ -174,18 +204,17 @@ class TestFrameScores:
         assert np.allclose(fs.scores, score_oracle(feats.tensor), rtol=1e-7, atol=0)
 
     def test_streaming_peak_allocation_is_bounded(self):
-        # a few 256-row blocks of float64, far below one S x S matrix (78.7 MB)
-        assert scorer_peak_bytes() < 3 * 256 * REALISTIC_S * 8
+        # a few 784-row blocks of float64 (14.8 MB), far below one S x S matrix (78.7 MB)
+        assert scorer_peak_bytes() < 3 * 784 * 784 * 8
 
     def test_scorer_makes_no_float64_block_copy(self):
-        # one float32 block plus float64 slices (7.2 MB); a float64 copy of the block adds 12.8 MB
-        s = REALISTIC_S
-        assert scorer_peak_bytes() < _STREAM_BLOCK_ROWS * s * 4 + 32 * s * 8
+        # a float64 copy of one 784 x 784 block alone is 4.9 MB
+        assert scorer_peak_bytes() < 784 * 784 * 8
 
     def test_scorer_holds_only_the_block_buffer(self):
-        # the float32 block plus a few S-long float64 vectors; per-frame partials are (rows, T)
+        # the float32 block and slice buffers, the (S, T) float64 partials and a few S-long vectors
         s = REALISTIC_S
-        assert scorer_peak_bytes() < _STREAM_BLOCK_ROWS * s * 4 + 4 * s * 8
+        assert scorer_peak_bytes() < 784 * 784 * 4 + 196 * 784 * 4 + s * 16 * 8 + 8 * s * 8
 
     def test_float64_features_match_oracle(self):
         feats = synth_image_features(7, 6, EncoderSpec("synthetic-image", (7, 7), 64))
