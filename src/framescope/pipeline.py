@@ -282,8 +282,8 @@ def mac_report(cfg: PipelineConfig) -> MacReport:
     per_frame = cfg.image_encoder.tokens_per_frame
     s = cfg.frames * per_frame
     blocks = _block_plan(cfg.frames, per_frame)
-    pairs = sum((f1 - f0) * per_frame * (s - f0 * per_frame) for f0, f1 in blocks)
-    scoring = pairs * cfg.image_encoder.depth if cfg.scoring_active else 0
+    entries = sum((f1 - f0) * per_frame * (s - f0 * per_frame) for f0, f1 in blocks)
+    scoring = entries * cfg.image_encoder.depth if cfg.scoring_active else 0
     image = cfg.frames * cfg.image_projector.macs_per_frame() if cfg.has_image_branch else 0
     video = cfg.keyframes * cfg.video_projector.macs_per_frame() if cfg.has_video_branch else 0
     return MacReport(scoring=scoring, image_projection=image, video_projection=video, fusion=0)
