@@ -11,11 +11,11 @@ One scorer accumulates column sums without ever holding S x S
 want it).  The logit matrix is symmetric, so the scorer cuts the tokens
 into frame-aligned blocks of at most 784 rows and forms each block pair
 (i, j) with j >= i once, by one GEMM into one reused buffer: 62.5% of
-the S^2 * D_f multiplies at 16 frames of 14 x 14 tokens.  Each block serves the rows of i over the
-columns of j and, transposed, the rows of j over the columns of i, so a
-row meets its columns a block at a time and its softmax is normalised
-online, with a running max per row (Milakov & Gimelshein 2018, the
-normaliser FlashAttention uses).
+the S^2 * D_f multiplies at 16 frames of 14 x 14 tokens.  Each block
+serves the rows of i over the columns of j and, transposed, the rows of
+j over the columns of i, so a row meets its columns a block at a time
+and its softmax is normalised online, with a running max per row
+(Milakov & Gimelshein 2018, the normaliser FlashAttention uses).
 
 Attention logits and their exponentials are computed in the feature
 dtype.  One product against a ones vector reduces each slice of
